@@ -11,8 +11,21 @@ single picked fact) forms a solution to ``q``.  This is naturally a CNF:
 * per solution ``q{a b}`` with ``a``, ``b`` in different blocks: not both
   picked.
 
-The encoding is decided with the DPLL solver of :mod:`repro.logic.dpll` and
-serves as the scalable exact oracle used by tests and benchmarks.
+The last two families are read off the solution graph ``G(D, q)`` of
+:func:`~repro.core.solutions.build_solution_graph` (its self-loops and
+edges), which is cached on the database and delta-maintained, so a warm
+encoding costs ``O(edges + Σ|block|²)`` and shares its pair discovery with
+``Cert_k`` and the matching algorithm.  The CNF itself is rebuilt per call
+and deliberately not cached: a cache entry without a delta maintainer would
+be dropped on every write, and the answer cache already absorbs repeated
+reads.  Variables number the facts in database order; the clause order
+follows the graph's set iteration order, which the solver's model does not
+depend on.
+
+The encoding is decided with the DPLL solver of :mod:`repro.logic.dpll`,
+whose variable-connected components are exactly the ``q``-connected block
+components of Proposition 10.6, and serves as the scalable exact oracle
+used by the engine, tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional
 
 from ..core.query import TwoAtomQuery
+from ..core.solutions import build_solution_graph
 from ..core.terms import Fact
 from ..db.fact_store import Database, Repair
 from .dpll import DpllSolver
@@ -58,18 +72,16 @@ class FalsifyingRepairEncoding:
                 self.clauses.append(frozenset((-first, -second)))
 
     def _encode_solutions(self) -> None:
-        facts = self._facts
-        for fact in facts:
-            if self.query.is_self_solution(fact):
-                self.clauses.append(frozenset((-self._index[fact],)))
-        for position, first in enumerate(facts):
-            for second in facts[position + 1:]:
-                if first.key_equal(second):
-                    continue  # never co-selected; the block constraints handle it
-                if self.query.matches_unordered(first, second):
-                    self.clauses.append(
-                        frozenset((-self._index[first], -self._index[second]))
-                    )
+        graph = build_solution_graph(self.query, self.database)
+        index, clauses = self._index, self.clauses
+        clauses.extend(frozenset((-index[fact],)) for fact in graph.self_loops)
+        for fact, adjacent in graph.edges.items():
+            variable = index[fact]
+            for other in adjacent:
+                partner = index[other]
+                # Key-equal pairs are never co-selected; the block handles them.
+                if partner > variable and not fact.key_equal(other):
+                    clauses.append(frozenset((-variable, -partner)))
 
     # ------------------------------------------------------------------ #
     # solving
@@ -86,39 +98,17 @@ class FalsifyingRepairEncoding:
         model = solver.solve_clauses(self.clauses)
         if model is None:
             return None
-        picked = [fact for fact in self._facts if model.get(self._index[fact], False)]
-        # Blocks whose choice is unconstrained may be left unassigned by the
-        # solver; complete them with an arbitrary fact that keeps the repair
-        # falsifying (any fact not forming a solution with picked ones).
-        chosen = {fact.block_id(): fact for fact in picked}
-        for block in self.database.blocks():
-            if block.block_id in chosen:
-                continue
-            candidate = self._complete_block(block.facts, list(chosen.values()))
-            if candidate is None:
-                return None
-            chosen[block.block_id] = candidate
-        repair = Repair(tuple(chosen[block.block_id] for block in self.database.blocks()))
+        # The model is total, so at-least-one plus at-most-one pick exactly
+        # one fact per block: the repair is read straight off it.
+        repair = Repair(tuple(
+            next(fact for fact in block.facts if model[self._index[fact]])
+            for block in self.database.blocks()
+        ))
         if self.query.satisfied_by(repair):
-            # The completion heuristic failed (should not happen: the model
-            # satisfies all pairwise constraints); fall back to reporting no
-            # witness rather than a wrong one.
+            # Cannot happen while the encoding is right; never report a
+            # wrong witness.
             return None
         return repair
-
-    def _complete_block(
-        self, candidates: List[Fact], already_chosen: List[Fact]
-    ) -> Optional[Fact]:
-        for candidate in candidates:
-            if self.query.is_self_solution(candidate):
-                continue
-            conflict = any(
-                self.query.matches_unordered(candidate, other)
-                for other in already_chosen
-            )
-            if not conflict:
-                return candidate
-        return None
 
 
 def exists_falsifying_repair(query: TwoAtomQuery, database: Database) -> bool:

@@ -13,13 +13,14 @@ from repro import (
     certain_bruteforce,
     certain_by_matching,
     certain_exact,
+    paper_queries,
     parse_query,
 )
 from repro.core.branching import branching_triples, g_elements
 from repro.db.fact_store import is_repair_of
 from repro.db.repairs import iter_repairs
-from repro.logic.cnf import random_restricted_three_sat, random_three_sat
-from repro.logic.dpll import brute_force_satisfiable, is_satisfiable
+from repro.logic.cnf import parse_dimacs_like, random_restricted_three_sat, random_three_sat
+from repro.logic.dpll import DpllSolver, brute_force_satisfiable, is_satisfiable
 
 Q3 = parse_query("R(x|y) R(y|z)")
 Q2 = parse_query("R(x,u|x,y) R(u,y|x,z)")
@@ -57,6 +58,34 @@ q6_rows = st.lists(
     min_size=0,
     max_size=7,
 )
+
+
+@st.composite
+def paper_query_databases(draw):
+    """One of q1..q6 with a small database over its schema."""
+    query = paper_queries()[draw(st.sampled_from(("q1", "q2", "q3", "q4", "q5", "q6")))]
+    values = st.tuples(*[st.integers(0, 2)] * query.schema.arity)
+    rows = draw(st.lists(values, min_size=0, max_size=7))
+    return query, Database(Fact(query.schema, row) for row in rows)
+
+
+@st.composite
+def component_cnfs(draw):
+    """Clauses over disjoint variable ranges, with unit and maybe empty clauses."""
+    clauses = []
+    offset = 0
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.integers(1, 4))
+        literals = st.builds(
+            lambda variable, positive: variable if positive else -variable,
+            st.integers(offset + 1, offset + width),
+            st.booleans(),
+        )
+        clauses += draw(st.lists(st.frozensets(literals, min_size=1, max_size=3), max_size=7))
+        offset += width
+    if draw(st.integers(0, 3)) == 0:
+        clauses.insert(draw(st.integers(0, len(clauses))), frozenset())
+    return clauses
 
 
 class TestRepairInvariants:
@@ -141,11 +170,11 @@ class TestAlgorithmSoundness:
         combined = cert_k(Q6, db, k=2) or certain_by_matching(Q6, db)
         assert combined == certain_bruteforce(Q6, db)
 
-    @_SETTINGS
-    @given(q2_rows)
-    def test_sat_oracle_matches_bruteforce(self, rows):
-        db = q2_database(rows)
-        assert certain_exact(Q2, db) == certain_bruteforce(Q2, db)
+    @settings(_SETTINGS, max_examples=90)
+    @given(paper_query_databases())
+    def test_sat_oracle_matches_bruteforce(self, case):
+        query, db = case
+        assert certain_exact(query, db) == certain_bruteforce(query, db)
 
 
 class TestSatSubstrate:
@@ -157,6 +186,20 @@ class TestSatSubstrate:
         clause_count = rng.randint(1, 10)
         formula = random_three_sat(variable_count, clause_count, rng=rng)
         assert is_satisfiable(formula) == brute_force_satisfiable(formula)
+
+    @settings(_SETTINGS, max_examples=60)
+    @given(component_cnfs())
+    def test_dpll_solves_components_units_and_empty_clauses(self, clauses):
+        solver = DpllSolver()
+        model = solver.solve_clauses(clauses)
+        formula = parse_dimacs_like([sorted(clause) for clause in clauses])
+        assert (model is not None) == brute_force_satisfiable(formula)
+        if model is not None:
+            assert set(model) == {abs(literal) for clause in clauses for literal in clause}
+            for clause in clauses:
+                assert any(model[abs(literal)] == (literal > 0) for literal in clause)
+        # The model depends on the clause set only, not on the clause order.
+        assert DpllSolver().solve_clauses(clauses[::-1]) == model
 
     @_SETTINGS
     @given(st.integers(0, 10_000))
