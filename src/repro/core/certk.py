@@ -18,16 +18,19 @@ sufficient for every example query of the paper on the benchmark workloads.
 
 Two implementations are provided:
 
-* :class:`CertK` — a worklist/delta-driven fixpoint.  The initial antichain
-  is read from a database-cached
+* :class:`CertK` — a worklist/delta-driven fixpoint over fact ids.  The
+  initial antichain is read from a database-cached
   :class:`~repro.eval.deltas.SeedAntichain` (built off the index-driven,
   delta-maintained solution graph and itself resumed from fact deltas on
-  mutation), and each newly inserted minimal set enqueues only the candidate
-  k-sets it can make fire, generated on demand from an inverted
-  fact → stored-set index.
-  Candidate k-sets that no insertion can ever affect are never materialised,
-  so the cost is driven by the size of the fixpoint rather than by the
-  ``O(n^k)`` candidate space.
+  mutation).  Each run interns the facts it meets to dense integer ids, so
+  k-sets are sorted id tuples; each newly inserted minimal set enqueues only
+  the candidate k-sets it can make fire, generated on demand from an
+  inverted id → stored-set index, and a per-block completion index of
+  position bitmasks tests a candidate against a whole block in ``2^k``
+  lookups.  Candidate k-sets that no insertion can ever affect are never
+  materialised, so the cost is driven by the size of the fixpoint rather
+  than by the ``O(n^k)`` candidate space.  Results are converted back to
+  ``Fact`` frozensets only in :class:`CertKResult`.
 * :class:`NaiveCertK` — the seed implementation: enumerate every candidate
   k-set with ``itertools.combinations`` and re-scan them all on every pass
   until nothing changes.  Kept verbatim as the differential-testing oracle.
@@ -41,15 +44,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from itertools import chain, combinations
+from typing import Deque, Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from ..db.fact_store import Database
+from ..db.fact_store import BlockId, Database
 from ..eval.deltas import SeedAntichain, seed_maintainer
 from .query import TwoAtomQuery
 from .terms import Fact
 
 KSet = FrozenSet[Fact]
+#: A k-set inside one :class:`_WorklistFixpoint` run: sorted per-run fact ids.
+IdSet = Tuple[int, ...]
 
 
 def certk_seed_cache_key(query: TwoAtomQuery) -> Tuple[str, TwoAtomQuery]:
@@ -100,7 +105,7 @@ class CertK:
             return CertKResult(True, self.k, initial, 0)
         fixpoint = _WorklistFixpoint(self.k, database, initial)
         certain = fixpoint.solve()
-        return CertKResult(certain, self.k, fixpoint.delta, fixpoint.processed)
+        return CertKResult(certain, self.k, fixpoint.result_delta(), fixpoint.processed)
 
     def is_certain(self, database: Database) -> bool:
         """Boolean wrapper for :meth:`run` (the paper's ``D |= Cert_k(q)``)."""
@@ -128,13 +133,25 @@ class CertK:
 
 
 class _WorklistFixpoint:
-    """Delta-driven evaluation of the Section 5 inductive rule.
+    """Delta-driven evaluation of the Section 5 inductive rule on fact ids.
 
-    The state is the antichain ``delta`` plus an inverted index ``inv``
-    mapping each fact to the stored sets containing it.  Processing a stored
-    set ``S`` explores, for every ``u ∈ S``, candidates ``C ⊇ S \\ {u}``
-    against the block of ``u`` — by the argument below this reaches every
-    minimal set whose last-needed witness is ``S``:
+    Facts are interned to dense ids for this run only, and every k-set is a
+    sorted id tuple.  The state is the antichain ``delta``, an inverted index
+    ``inv`` (id → stored sets containing it) and a *completion index*: for a
+    stored set ``T`` and each ``u ∈ T``, the entry ``(T \\ {u}, block(u))``
+    carries the bit of ``u``'s position within its block.  ``C ∪ {u}`` for a
+    non-covered ``C`` is covered exactly when some ``T ∋ u`` has
+    ``T \\ {u} ⊆ C``, so OR-ing the masks of the ``2^|C|`` subsets of ``C``
+    tests a whole block at once.  Coverage only grows, so a dominated set's
+    bits stay valid and the index never shrinks.  Blocks are resolved — their
+    remaining facts interned and their full mask fixed — only when the search
+    pivots on them, so a run touching few solutions never pays an
+    ``O(blocks)`` snapshot (the serving hot path runs the solver once per
+    answer).
+
+    Processing a stored set ``S`` explores, for every ``u ∈ S``, candidates
+    ``C ⊇ S \\ {u}`` against the block of ``u`` — by the argument below this
+    reaches every minimal set whose last-needed witness is ``S``:
 
     A non-covered candidate ``C`` fires via block ``B`` when every ``u ∈ B``
     has a stored witness ``T_u ⊆ C ∪ {u}``; since ``C`` is not covered, each
@@ -146,23 +163,82 @@ class _WorklistFixpoint:
     facts of a stored set containing the pivot (witnesses disjoint from
     ``C ∪ {pivot}`` would make the extension covered, hence prunable), which
     enumerates every minimal firing superset in at most ``k`` steps.
+
+    The antichain does not depend on which uncovered block member is taken
+    as the pivot.  When ``S`` is processed every witness of a firing ``C`` is
+    already stored, so *each* member ``v`` still uncovered for a candidate
+    ``C' ⊆ C`` has a stored witness ``T_v`` with ``T_v \\ {v} ⊆ C``, and
+    extending ``C'`` by it stays inside ``C``: every choice reaches ``C``, and
+    the pivot only shapes the search tree.  The search therefore takes the
+    member with the fewest stored witnesses, and abandons a candidate as soon
+    as some uncovered member has none (no superset of it can fire yet; the
+    insertion that later supplies the witness is processed in its turn).
     """
 
     def __init__(self, k: int, database: Database, initial: Iterable[KSet]) -> None:
         self.k = k
-        # Block tuples are resolved lazily against the database: the search
-        # only ever pivots on blocks reachable from the seed antichain, so a
-        # run touching few solutions must not pay an O(blocks) snapshot (the
-        # serving hot path runs the solver once per answer).
         self._database = database
-        self.blocks: Dict[object, Tuple[Fact, ...]] = {}
-        self.delta: Set[KSet] = set()
-        self.inv: Dict[Fact, Set[KSet]] = {}
-        self.queue: Deque[KSet] = deque()
+        # Per-run interning: id → fact, id → (block index, position bit),
+        # block index → member ids in position order.  Positions follow
+        # interning order, so a block's mask is as wide as the block.
+        self.facts: List[Fact] = []
+        self._ids: Dict[Fact, int] = {}
+        self._block_of: List[int] = []
+        self._bit_of: List[int] = []
+        self._block_index: Dict[BlockId, int] = {}
+        self._block_keys: List[BlockId] = []
+        self._members: List[List[int]] = []
+        self._full: List[int] = []  # 0 until the block is resolved
+        self._completion: List[Dict[IdSet, int]] = []
+        self.delta: Set[IdSet] = set()
+        self.inv: List[Set[IdSet]] = []
+        self.queue: Deque[IdSet] = deque()
         self.processed = 0
         self.empty_derived = False
+        # The seed antichain is already minimal: store without domination
+        # checks.  Singletons are queued first: they are the seeds closest to
+        # deriving the empty set.
+        intern = self._intern
         for member in sorted(initial, key=len):
-            self._insert(member)
+            self._store(tuple(sorted([intern(fact) for fact in member])))
+
+    def result_delta(self) -> Set[KSet]:
+        """The antichain as ``Fact`` frozensets."""
+        facts = self.facts
+        return {frozenset(facts[i] for i in member) for member in self.delta}
+
+    # ------------------------------------------------------------------ #
+    # interning
+    # ------------------------------------------------------------------ #
+    def _intern(self, fact: Fact) -> int:
+        fid = self._ids.get(fact)
+        if fid is None:
+            key = fact.block_id()
+            block = self._block_index.get(key)
+            if block is None:
+                block = self._block_index[key] = len(self._members)
+                self._block_keys.append(key)
+                self._members.append([])
+                self._full.append(0)
+                self._completion.append({})
+            fid = self._ids[fact] = len(self.facts)
+            self.facts.append(fact)
+            members = self._members[block]
+            self._block_of.append(block)
+            self._bit_of.append(1 << len(members))
+            members.append(fid)
+            self.inv.append(set())
+        return fid
+
+    def _resolve(self, block: int) -> int:
+        """Intern the rest of ``block`` on first use; return its full mask."""
+        full = self._full[block]
+        if not full:
+            resolved = self._database.block_by_id(self._block_keys[block])
+            for fact in resolved.facts if resolved is not None else ():
+                self._intern(fact)
+            full = self._full[block] = (1 << len(self._members[block])) - 1
+        return full
 
     # ------------------------------------------------------------------ #
     # driver
@@ -175,94 +251,104 @@ class _WorklistFixpoint:
                 # processing reaches every candidate this member could seed.
                 continue
             self.processed += 1
-            visited: Set[KSet] = set()
-            for pivot_fact in member:
-                seed = member - {pivot_fact}
-                block = self._block(pivot_fact.block_id())
-                self._search(seed, block, visited)
+            for index, pivot_id in enumerate(member):
+                block = self._block_of[pivot_id]
+                full = self._resolve(block)
+                self._search(member[:index] + member[index + 1:], block, full)
                 if self.empty_derived:
                     break
         return self.empty_derived
 
-    def _block(self, block_id: object) -> Tuple[Fact, ...]:
-        """The facts of one block, snapshotted on first use."""
-        block = self.blocks.get(block_id)
-        if block is None:
-            resolved = self._database.block_by_id(block_id)
-            block = self.blocks[block_id] = tuple(resolved) if resolved else ()
-        return block
-
     # ------------------------------------------------------------------ #
     # candidate generation
     # ------------------------------------------------------------------ #
-    def _search(self, candidate: KSet, block: Tuple[Fact, ...], visited: Set[KSet]) -> None:
-        if self.empty_derived or candidate in visited:
-            return
-        visited.add(candidate)
-        if self._covered(candidate, None):
-            return
-        bad = [fact for fact in block if not self._covered(candidate, fact)]
-        if not bad:
+    def _search(self, candidate: IdSet, block: int, full: int) -> None:
+        subsets = _subsets(candidate)
+        if not self.delta.isdisjoint(subsets):
+            return  # covered
+        masks = self._completion[block]
+        mask = masks.get((), 0)
+        for subset in subsets:
+            mask |= masks.get(subset, 0)
+        if mask == full:
             self._insert(candidate)
             return
-        if len(candidate) >= self.k:
+        room = self.k - len(candidate)
+        if not room:
             return
-        pivot = bad[0]
-        candidate_blocks = {fact.block_id() for fact in candidate}
-        for witness in list(self.inv.get(pivot, ())):
-            extension = witness - candidate
-            extension = extension - {pivot}
-            if not extension or len(candidate) + len(extension) > self.k:
+        # Any uncovered member may serve as the pivot (see the class notes):
+        # take the one with the fewest stored witnesses, and give up when
+        # one has none.
+        members = self._members[block]
+        inv = self.inv
+        missing = full & ~mask
+        pivot = -1
+        fewest = None
+        while missing:
+            low = missing & -missing
+            fid = members[low.bit_length() - 1]
+            witnesses = inv[fid]
+            if fewest is None or len(witnesses) < len(fewest):
+                if not witnesses:
+                    return
+                pivot, fewest = fid, witnesses
+            missing ^= low
+        block_of = self._block_of
+        candidate_blocks = [block_of[fid] for fid in candidate]
+        for witness in list(fewest):
+            extension = [fid for fid in witness if fid != pivot and fid not in candidate]
+            if not extension or len(extension) > room:
                 continue
-            blocks_seen = set(candidate_blocks)
-            valid = True
-            for fact in extension:
-                block_id = fact.block_id()
-                if block_id in blocks_seen:
-                    valid = False
+            for fid in extension:
+                if block_of[fid] in candidate_blocks:
                     break
-                blocks_seen.add(block_id)
-            if valid:
-                self._search(candidate | extension, block, visited)
+            else:
+                self._search(tuple(sorted(candidate + tuple(extension))), block, full)
                 if self.empty_derived:
                     return
 
     # ------------------------------------------------------------------ #
     # antichain maintenance
     # ------------------------------------------------------------------ #
-    def _covered(self, candidate: KSet, extra: Optional[Fact]) -> bool:
-        """Whether ``candidate ∪ {extra}`` contains a stored set."""
-        if self.empty_derived:
-            return True
-        if extra is not None:
-            for member in self.inv.get(extra, ()):
-                if all(fact in candidate or fact == extra for fact in member):
-                    return True
-        for anchor in candidate:
-            for member in self.inv.get(anchor, ()):
-                if all(fact in candidate or fact == extra for fact in member):
-                    return True
-        return False
-
-    def _insert(self, member: KSet) -> None:
+    def _insert(self, member: IdSet) -> None:
+        """Store a non-covered ``member``, evicting the stored sets it dominates."""
         if not member:
             self.empty_derived = True
-            self.delta = {frozenset()}
-            self.inv = {}
+            self.delta = {()}
             self.queue.clear()
             return
-        if self._covered(member, None):
-            return
-        anchor = next(iter(member))
-        dominated = [stored for stored in self.inv.get(anchor, ()) if member < stored]
-        for stored in dominated:
-            self.delta.discard(stored)
-            for fact in stored:
-                self.inv[fact].discard(stored)
+        delta = self.delta
+        inv = self.inv
+        size = len(member)
+        for stored in list(inv[member[0]]):
+            if len(stored) > size and all(fid in stored for fid in member):
+                delta.discard(stored)
+                for fid in stored:
+                    inv[fid].discard(stored)
+        self._store(member)
+
+    def _store(self, member: IdSet) -> None:
         self.delta.add(member)
-        for fact in member:
-            self.inv.setdefault(fact, set()).add(member)
+        inv = self.inv
+        block_of = self._block_of
+        bit_of = self._bit_of
+        completion = self._completion
+        for index, fid in enumerate(member):
+            rest = member[:index] + member[index + 1:]
+            masks = completion[block_of[fid]]
+            masks[rest] = masks.get(rest, 0) | bit_of[fid]
+            inv[fid].add(member)
         self.queue.append(member)
+
+
+def _subsets(ids: IdSet) -> Tuple[IdSet, ...]:
+    """The non-empty sub-tuples of a sorted id tuple (``ids`` itself last)."""
+    size = len(ids)
+    if size == 1:
+        return (ids,)
+    if size == 2:
+        return (ids[:1], ids[1:], ids)
+    return tuple(chain.from_iterable(combinations(ids, length) for length in range(1, size + 1)))
 
 
 class NaiveCertK:
@@ -402,11 +488,6 @@ def _minimise(delta: Set[KSet]) -> Set[KSet]:
         if not dominated:
             minimal.add(candidate)
     return minimal
-
-
-# Backwards-compatible staticmethod-style access used by older call sites.
-CertK._minimise = staticmethod(_minimise)
-NaiveCertK._minimise = staticmethod(_minimise)
 
 
 def cert_k(query: TwoAtomQuery, database: Database, k: int = 2) -> bool:

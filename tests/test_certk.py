@@ -4,7 +4,18 @@ import random
 
 import pytest
 
-from repro import CertK, Database, Fact, cert_2, cert_k, certain_bruteforce, delta_k, parse_query
+from repro import (
+    CertK,
+    Database,
+    Fact,
+    cert_2,
+    cert_k,
+    certain_bruteforce,
+    certain_exact,
+    delta_k,
+    paper_queries,
+    parse_query,
+)
 from repro.db.generators import random_solution_database
 
 
@@ -131,3 +142,43 @@ class TestTheorem61:
         rng = random.Random(1000 + seed)
         db = random_solution_database(query, 3, 5, 6, rng)
         assert cert_2(query, db) == certain_bruteforce(query, db)
+
+
+class TestTheorem61BeyondNaiveSizes:
+    """``Cert_2`` against the SAT oracle on q3/q4 at 150-300 facts.
+
+    Instances are built the way the benchmark builds them: a random core, one
+    *escape* fact per block (its key with fresh values, so the all-escape
+    repair falsifies the query) and, for a certain instance, a *gadget*:
+    both atoms on fresh values, each alone in its block, so every repair
+    satisfies the query.  The verdict is fixed by construction; Theorem 6.1
+    makes ``Cert_2`` exact on both queries, so it must reach it too.  These
+    sizes are far beyond :class:`NaiveCertK`.
+    """
+
+    FRESH = 1_000_000
+    SHAPES = {"q3": (80, 20, 50), "q4": (110, 20, 8)}
+
+    def instance(self, query, shape, certain, rng):
+        database = random_solution_database(query, *shape, rng)
+        width = query.schema.arity - query.schema.key_size
+        fresh = self.FRESH
+        for block in database.blocks():
+            database.add(Fact(query.schema, block.key_tuple + tuple(range(fresh, fresh + width))))
+            fresh += width
+        if certain:
+            env = {v: 2 * self.FRESH + i for i, v in enumerate(sorted(query.variables))}
+            database.add(query.atom_a.instantiate(env))
+            database.add(query.atom_b.instantiate(env))
+        return database
+
+    @pytest.mark.parametrize("name", ["q3", "q4"])
+    @pytest.mark.parametrize("certain", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cert2_matches_the_exact_oracle(self, name, certain, seed):
+        query = paper_queries()[name]
+        database = self.instance(query, self.SHAPES[name], certain, random.Random(seed))
+        assert 150 <= len(database) <= 300
+        assert max(block.size for block in database.blocks()) > 1
+        assert certain_exact(query, database) is certain
+        assert cert_2(query, database) is certain

@@ -5,8 +5,10 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
+    CertK,
     Database,
     Fact,
+    NaiveCertK,
     build_solution_graph,
     cert_2,
     cert_k,
@@ -67,6 +69,22 @@ def paper_query_databases(draw):
     values = st.tuples(*[st.integers(0, 2)] * query.schema.arity)
     rows = draw(st.lists(values, min_size=0, max_size=7))
     return query, Database(Fact(query.schema, row) for row in rows)
+
+
+@st.composite
+def paper_query_streams(draw):
+    """A ``paper_query_databases`` draw plus a sequence of single-fact writes.
+
+    A write is ``("add", row)`` or ``("remove", index)``; a removal takes the
+    fact at ``index`` (modulo the size) of the database at that point, so it
+    always hits when the database is not empty.
+    """
+    query, db = draw(paper_query_databases())
+    values = st.tuples(*[st.integers(0, 2)] * query.schema.arity)
+    write = st.one_of(
+        st.tuples(st.just("add"), values), st.tuples(st.just("remove"), st.integers(0, 20))
+    )
+    return query, db, draw(st.lists(write, min_size=1, max_size=6))
 
 
 @st.composite
@@ -175,6 +193,38 @@ class TestAlgorithmSoundness:
     def test_sat_oracle_matches_bruteforce(self, case):
         query, db = case
         assert certain_exact(query, db) == certain_bruteforce(query, db)
+
+
+class TestCertKMatchesNaive:
+    """The worklist ``Cert_k`` against the seed enumeration, on generated inputs."""
+
+    @staticmethod
+    def assert_same(runner, oracle, db):
+        indexed, naive = runner.run(db), oracle.run(db)
+        assert indexed.certain == naive.certain
+        assert indexed.delta == naive.delta
+
+    @settings(_SETTINGS, max_examples=60)
+    @given(paper_query_databases(), st.sampled_from((1, 2, 3)))
+    def test_worklist_matches_naive(self, case, k):
+        query, db = case
+        self.assert_same(CertK(query, k), NaiveCertK(query, k), db)
+
+    @_SETTINGS
+    @given(paper_query_streams(), st.sampled_from((1, 2, 3)))
+    def test_reused_runner_matches_naive_after_every_write(self, case, k):
+        # One runner and one database across the whole stream: per-run ids or
+        # search state leaking into the next run, or a stale seed antichain,
+        # would show up as a mismatch at some step.
+        query, db, writes = case
+        runner, oracle = CertK(query, k), NaiveCertK(query, k)
+        self.assert_same(runner, oracle, db)
+        for kind, operand in writes:
+            if kind == "add":
+                db.add(Fact(query.schema, operand))
+            elif len(db):
+                db.remove(db.facts()[operand % len(db)])
+            self.assert_same(runner, oracle, db)
 
 
 class TestSatSubstrate:
