@@ -5,10 +5,11 @@ Measures the two scaling paths introduced by the delta pipeline PR:
 * **II.a — incremental maintenance.**  A mutate-heavy workload (single-fact
   add/remove over large databases) refreshes the certain answer after every
   mutation.  The delta path replays the fact delta into the cached solution
-  graph and ``Cert_k`` seed antichain; the rebuild path simulates the PR 1
-  contract by invalidating the derived cache before each refresh.  Both paths
-  answer through the same ``CertK`` runner, and the maintained graph is
-  pinned to a from-scratch build along the way.
+  graph, the one derived structure ``Cert_k`` reads (it seeds off the
+  graph); the rebuild path simulates the PR 1 contract by invalidating the
+  derived cache before each refresh.  Both paths answer through the same
+  ``CertK`` runner, and the maintained graph is pinned to a from-scratch
+  build along the way.
 * **II.b — sharded batch answering.**  ``CertainEngine.explain_many`` over a
   stream of databases, sequential vs ``workers=N``.  Answers must agree
   exactly; the speedup is recorded (and only asserted when the machine
@@ -42,7 +43,6 @@ from repro import (
     DatasetRef,
     Request,
     build_solution_graph,
-    certk_seed_cache_key,
     matching_cache_key,
 )
 from repro.bench.harness import (
@@ -146,15 +146,10 @@ def test_incremental_vs_rebuild():
             rebuild_db = _workload(query, size)
             assert set(incremental_db.facts()) == set(rebuild_db.facts())
             runner = CertK(query, 2)
-            maintainer = runner._seed_maintainer
 
             def refresh(database):
-                """One derived-structure refresh: solution graph + Cert_k seeds."""
-                graph = build_solution_graph(query, database)
-                seeds = database.cached(
-                    certk_seed_cache_key(query), maintainer.build, maintainer=maintainer
-                )
-                return graph, seeds
+                """One derived-structure refresh: the solution graph Cert_k seeds off."""
+                return build_solution_graph(query, database)
 
             refresh(incremental_db)  # warm the delta-maintained caches
             refresh(rebuild_db)
@@ -166,17 +161,16 @@ def test_incremental_vs_rebuild():
             ):
                 for database in (incremental_db, rebuild_db):
                     (database.add if op == "add" else database.remove)(fact)
-                (graph, seeds), elapsed = timed(lambda: refresh(incremental_db))
+                graph, elapsed = timed(lambda: refresh(incremental_db))
                 incremental_time += elapsed
 
                 def refresh_from_scratch():
                     rebuild_db.invalidate_derived()  # simulate the PR 1 contract
                     return refresh(rebuild_db)
 
-                (expected_graph, expected_seeds), elapsed = timed(refresh_from_scratch)
+                expected_graph, elapsed = timed(refresh_from_scratch)
                 rebuild_time += elapsed
                 assert _graphs_equal(graph, expected_graph)
-                assert seeds.members == expected_seeds.members
                 if step % 10 == 0:  # untimed end-to-end agreement check
                     assert (
                         runner.run(incremental_db).certain

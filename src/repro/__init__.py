@@ -64,7 +64,6 @@ from .core.certk import (
     NaiveCertK,
     cert_2,
     cert_k,
-    certk_seed_cache_key,
     delta_k,
 )
 from .core.classification import (
@@ -131,10 +130,8 @@ from .graphs.bipartite import IncrementalMatching
 from .eval.deltas import (
     ADD,
     REMOVE,
-    CertKSeedMaintainer,
     DeltaUnsupported,
     FactDelta,
-    SeedAntichain,
     SolutionGraphMaintainer,
 )
 from .eval.evaluator import IndexedEvaluator
@@ -234,10 +231,9 @@ __all__ = [
     "FactIndex", "AtomMatcher", "IndexedEvaluator",
     # delta pipeline
     "FactDelta", "ADD", "REMOVE", "DeltaUnsupported",
-    "SolutionGraphMaintainer", "SeedAntichain", "CertKSeedMaintainer",
+    "SolutionGraphMaintainer",
     # algorithms
     "CertK", "CertKResult", "NaiveCertK", "cert_k", "cert_2", "delta_k",
-    "certk_seed_cache_key",
     "MatchingAlgorithm", "MatchingResult", "matching_algorithm", "certain_by_matching",
     "MatchingState", "BipartiteGraphMaintainer", "matching_cache_key",
     "matching_maintainer", "IncrementalMatching",

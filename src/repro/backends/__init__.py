@@ -36,11 +36,9 @@ from .fragments import (
     TableSpec,
     block_sizes_sql,
     block_total_sql,
-    certk_seed_sql,
     content_signature_sql,
     escape_row_sql,
     scan_sql,
-    self_solution_sql,
     solution_pair_sql,
 )
 from .streaming import (
@@ -65,7 +63,6 @@ __all__ = [
     "backend_totals",
     "block_sizes_sql",
     "block_total_sql",
-    "certk_seed_sql",
     "content_signature_sql",
     "decode_element",
     "encode_element",
@@ -78,7 +75,6 @@ __all__ = [
     "reset_backend_totals",
     "row_signature",
     "scan_sql",
-    "self_solution_sql",
     "solution_pair_sql",
     "term_digest",
 ]

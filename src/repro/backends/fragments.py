@@ -1,9 +1,8 @@
 """Shared SQL fragment builders for every relational backend.
 
 The hot relational fragments of the certain-answer pipeline — the two-atom
-self-join enumerating solution pairs, the ``Cert_k`` pair-seed filter (the
-Section 5 "distinct, non-key-equal solutions" rule), the single-row
-self-solution selection, and the key-block grouping — are plain SQL-92 over
+self-join enumerating solution pairs, the key-block grouping and the escape
+probes of the streaming reduction — are plain SQL-92 over
 one fact table whose columns are the positions of the relation
 (``c0 ... c{arity-1}``).  They were born inside
 :class:`~repro.db.sqlite_backend.SqliteFactStore`; this module extracts them
@@ -94,45 +93,6 @@ def solution_pair_sql(
     if limit is not None:
         sql += f" LIMIT {int(limit)}"
     return sql, where
-
-
-def certk_seed_sql(spec: TableSpec, query: TwoAtomQuery) -> str:
-    """The ``Cert_k`` pair seeds: solutions over distinct, non-key-equal facts.
-
-    The key-equality filter is appended to the self-join (answered from the
-    key index when one exists) instead of being re-tested per pair in
-    Python.  With key size 0 every pair shares the single block, so no pair
-    seeds (``0 = 1``).
-    """
-    sql, _ = solution_pair_sql(spec, query)
-    key_equal = " AND ".join(
-        f"a.{column} = b.{column}" for column in spec.key_columns()
-    )
-    condition = f"NOT ({key_equal})" if key_equal else "0 = 1"
-    return f"{sql} AND {condition}"
-
-
-def self_solution_sql(spec: TableSpec, query: TwoAtomQuery) -> str:
-    """SQL selecting the facts ``a`` with ``q(a a)`` (single-row solutions).
-
-    Both atoms are mapped onto one table alias: every variable occurring at
-    several positions (within or across the atoms) induces a column equality
-    on the same row.
-    """
-    _check_arity(spec, query)
-    conditions: List[str] = []
-    seen: Dict[str, str] = {}
-    for atom in (query.atom_a, query.atom_b):
-        for position, variable in enumerate(atom.variables):
-            column = f"c{position}"
-            if variable in seen:
-                if seen[variable] != column:
-                    conditions.append(f"{seen[variable]} = {column}")
-            else:
-                seen[variable] = column
-    where = " AND ".join(dict.fromkeys(conditions)) if conditions else "1 = 1"
-    columns = ", ".join(spec.columns())
-    return f"SELECT {columns} FROM {spec.table} WHERE {where}"
 
 
 def block_sizes_sql(spec: TableSpec) -> str:

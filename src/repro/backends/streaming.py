@@ -27,10 +27,10 @@ Deciding certainty for a database far larger than RAM needs two things:
   ``certain(q, D) = certain(q, D')`` while peak Python-side memory is
   proportional to the number of *solution-relevant* facts, not to ``|D|``.
 
-The streamed solution pairs double as the database's primed derived
-structures (solution graph + ``Cert_k`` seed antichain), exactly like the
-SQLite pushdown pipeline — ``D' ⊆ D`` and all solution participants are
-kept, so the solution sets of ``D`` and ``D'`` coincide.
+The streamed solution pairs double as the database's primed solution graph
+(which also seeds ``Cert_k``), exactly like the SQLite pushdown pipeline —
+``D' ⊆ D`` and all solution participants are kept, so the solution sets of
+``D`` and ``D'`` coincide.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..core.certk import certk_seed_cache_key
 from ..core.query import TwoAtomQuery
 from ..core.solutions import solution_graph_cache_key, solution_graph_from_pairs
 from ..core.terms import Fact
 from ..db.fact_store import Database
-from ..eval.deltas import SeedAntichain, graph_maintainer, seed_maintainer
+from ..eval.deltas import graph_maintainer
 from .base import note_backend_event
 
 #: Default fetchmany batch (rows resident in Python per fragment stream).
@@ -129,10 +128,9 @@ def reduced_streamed_database(
     """Stream the solution-relevant reduction of ``backend`` under ``query``.
 
     Returns the certainty-equivalent in-memory database (with its solution
-    graph and ``Cert_k`` seed antichain already primed from the streamed
-    pairs, delta maintainers registered) plus the :class:`ReductionStats` of
-    the run.  ``backend`` is any implementation of the
-    :class:`~repro.backends.base.Backend` protocol.
+    graph already primed from the streamed pairs, delta maintainer
+    registered) plus the :class:`ReductionStats` of the run.  ``backend`` is
+    any implementation of the :class:`~repro.backends.base.Backend` protocol.
     """
     stats = ReductionStats(batch_size=batch_size)
     stats.server_facts = (
@@ -166,21 +164,10 @@ def reduced_streamed_database(
     stats.reduced_facts = len(kept)
 
     database = Database(kept)
-    self_solutions = [first for first, second in pairs if first == second]
-    seed_pairs = [
-        (first, second)
-        for first, second in pairs
-        if first != second and not first.key_equal(second)
-    ]
     database.prime_cache(
         solution_graph_cache_key(query),
         solution_graph_from_pairs(database.facts(), pairs),
         maintainer=graph_maintainer(query),
-    )
-    database.prime_cache(
-        certk_seed_cache_key(query),
-        SeedAntichain.from_solutions(self_solutions, seed_pairs),
-        maintainer=seed_maintainer(query),
     )
     stats.seal()
     return database, stats

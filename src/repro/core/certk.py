@@ -19,10 +19,10 @@ sufficient for every example query of the paper on the benchmark workloads.
 Two implementations are provided:
 
 * :class:`CertK` — a worklist/delta-driven fixpoint over fact ids.  The
-  initial antichain is read from a database-cached
-  :class:`~repro.eval.deltas.SeedAntichain` (built off the index-driven,
-  delta-maintained solution graph and itself resumed from fact deltas on
-  mutation).  Each run interns the facts it meets to dense integer ids, so
+  initial antichain is read straight off the database-cached, index-built
+  and delta-maintained solution graph ``G(D, q)``: every self-loop seeds a
+  singleton and every edge across two blocks avoiding self-loops seeds a
+  pair.  Each run interns the facts it meets to dense integer ids, so
   k-sets are sorted id tuples; each newly inserted minimal set enqueues only
   the candidate k-sets it can make fire, generated on demand from an
   inverted id → stored-set index, and a per-block completion index of
@@ -45,27 +45,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Deque, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Set, Tuple
 
 from ..db.fact_store import BlockId, Database
-from ..eval.deltas import SeedAntichain, seed_maintainer
 from .query import TwoAtomQuery
+from .solutions import SolutionGraph, build_solution_graph
 from .terms import Fact
 
 KSet = FrozenSet[Fact]
 #: A k-set inside one :class:`_WorklistFixpoint` run: sorted per-run fact ids.
 IdSet = Tuple[int, ...]
-
-
-def certk_seed_cache_key(query: TwoAtomQuery) -> Tuple[str, TwoAtomQuery]:
-    """The :meth:`Database.cached` key of the ``Cert_k`` seed antichain.
-
-    The antichain does not depend on ``k`` (``k = 1`` simply ignores the
-    pairs), so one cache slot serves every runner; exposed so that other
-    producers — e.g. the SQLite backend pushing the seeding filter down to
-    SQL — can prime the same slot.
-    """
-    return ("certk_seeds", query)
 
 
 @dataclass
@@ -93,17 +82,13 @@ class CertK:
             raise ValueError("k must be at least 1")
         self.query = query
         self.k = k
-        self._seed_maintainer = seed_maintainer(query)
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
     def run(self, database: Database) -> CertKResult:
         """Execute the fixpoint computation and report the outcome."""
-        initial = self._initial_delta(database)
-        if frozenset() in initial:  # pragma: no cover - defensive, cannot seed empty
-            return CertKResult(True, self.k, initial, 0)
-        fixpoint = _WorklistFixpoint(self.k, database, initial)
+        fixpoint = self._seeded(database)
         certain = fixpoint.solve()
         return CertKResult(certain, self.k, fixpoint.result_delta(), fixpoint.processed)
 
@@ -114,22 +99,18 @@ class CertK:
     # ------------------------------------------------------------------ #
     # seeding
     # ------------------------------------------------------------------ #
+    def _seeded(self, database: Database) -> "_WorklistFixpoint":
+        """A fixpoint seeded off the cached solution graph, not yet solved."""
+        return _WorklistFixpoint(self.k, database, build_solution_graph(self.query, database))
+
     def _initial_delta(self, database: Database) -> Set[KSet]:
         """Minimal k-sets satisfying the query: solution pairs and self-solutions.
 
-        Read from the database-cached :class:`SeedAntichain`: self-loops seed
-        singletons, directed solutions over two distinct, non-key-equal facts
-        seed pairs (for ``k >= 2``).  The antichain is built once off the
-        (itself delta-maintained) solution graph and then *resumes from the
-        delta*: a mutation replays only the changed fact's solution pairs
-        through the maintainer instead of re-deriving every seed.
+        Exactly the seeds of :meth:`run` (see :class:`_WorklistFixpoint`):
+        self-loops seed singletons and, for ``k >= 2``, solution-graph edges
+        across two blocks avoiding self-loops seed pairs.
         """
-        antichain: SeedAntichain = database.cached(
-            certk_seed_cache_key(self.query),
-            self._seed_maintainer.build,
-            maintainer=self._seed_maintainer,
-        )
-        return antichain.snapshot(self.k)
+        return self._seeded(database).result_delta()
 
 
 class _WorklistFixpoint:
@@ -164,6 +145,20 @@ class _WorklistFixpoint:
     ``C ∪ {pivot}`` would make the extension covered, hence prunable), which
     enumerates every minimal firing superset in at most ``k`` steps.
 
+    Seeding reads the solution graph, never a copy of it: each self-loop
+    ``a`` (``q(a a)``) becomes the singleton ``(a,)``, and for ``k >= 2`` each
+    edge ``{a, b}`` whose endpoints lie in different blocks and are no
+    self-loops becomes the pair ``(a, b)``.  That is already the minimal
+    antichain of the Section 5 seeds: singletons are pairwise incomparable
+    and the empty set never seeds; two distinct pairs are incomparable; and
+    a pair can only be dominated by a singleton inside it, i.e. by one of
+    its endpoints being a self-loop, which the rule excludes.  Key-equal
+    endpoints are excluded because a k-set holds at most one fact per block.
+    So the seeds are stored without domination checks, singletons first
+    (they are the closest to deriving the empty set).  Self-loops take ids
+    ``0 .. L-1``, and a non-self-loop fact is interned when its adjacency is
+    visited, so each edge is stored once, from its later-interned endpoint.
+
     The antichain does not depend on which uncovered block member is taken
     as the pivot.  When ``S`` is processed every witness of a firing ``C`` is
     already stored, so *each* member ``v`` still uncovered for a candidate
@@ -175,7 +170,7 @@ class _WorklistFixpoint:
     insertion that later supplies the witness is processed in its turn).
     """
 
-    def __init__(self, k: int, database: Database, initial: Iterable[KSet]) -> None:
+    def __init__(self, k: int, database: Database, graph: SolutionGraph) -> None:
         self.k = k
         self._database = database
         # Per-run interning: id → fact, id → (block index, position bit),
@@ -195,12 +190,29 @@ class _WorklistFixpoint:
         self.queue: Deque[IdSet] = deque()
         self.processed = 0
         self.empty_derived = False
-        # The seed antichain is already minimal: store without domination
-        # checks.  Singletons are queued first: they are the seeds closest to
-        # deriving the empty set.
+        self._seed(graph)
+
+    def _seed(self, graph: SolutionGraph) -> None:
+        """Store the seeds read off ``graph`` (see the class notes)."""
         intern = self._intern
-        for member in sorted(initial, key=len):
-            self._store(tuple(sorted([intern(fact) for fact in member])))
+        store = self._store
+        self_loops = graph.self_loops
+        for fact in self_loops:
+            store((intern(fact),))
+        if self.k < 2:
+            return
+        loops = len(self.facts)
+        ids = self._ids
+        block_of = self._block_of
+        for first, adjacent in graph.edges.items():
+            if not adjacent or first in ids:  # isolated, or a self-loop
+                continue
+            later = intern(first)
+            block = block_of[later]
+            for second in adjacent:
+                earlier = ids.get(second)
+                if earlier is not None and earlier >= loops and block_of[earlier] != block:
+                    store((earlier, later))
 
     def result_delta(self) -> Set[KSet]:
         """The antichain as ``Fact`` frozensets."""

@@ -256,13 +256,7 @@ class TwoAtomQuery:
                     if self._extends_to_b(partials, second):
                         yield (first, second)
             return
-        matcher = AtomMatcher(self.atom_b, self.atom_a.all_variables)
-        for first in materialised:
-            assignment = self.atom_a.match(first)
-            if assignment is None:
-                continue
-            for second in matcher.matches(index, assignment):
-                yield (first, second)
+        yield from AtomMatcher(self.atom_a, self.atom_b).pairs(index, materialised)
 
     def _partial_assignments_a(self, fact: Fact) -> Optional[Dict[str, Element]]:
         return self.atom_a.match(fact)

@@ -14,7 +14,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..db.fact_store import Database
 from ..eval.deltas import DeltaUnsupported, FactDelta, graph_maintainer
-from ..eval.matcher import AtomMatcher
 from ..graphs.components import UnionFind
 from .query import TwoAtomQuery
 from .terms import Fact
@@ -174,11 +173,12 @@ def build_solution_graph(query: TwoAtomQuery, database: Database) -> SolutionGra
     """Compute ``G(D, q)`` together with directed solutions and self-loops.
 
     The graph is found by probing the database's incremental hash index: for
-    every fact matching atom ``A``, the candidate partners for atom ``B`` are
-    fetched by a single bucket lookup on the positions bound by ``vars(A)``
-    instead of a scan over all facts.  The result is cached on the database
-    and kept consistent across mutations by the delta pipeline: add/remove
-    deltas are replayed through a
+    every fact matching atom ``A``, the partners for atom ``B`` are read from
+    one bucket, keyed by the fact's values at the positions of ``vars(A)``
+    that ``B`` shares (the compiled ``A``-to-``B``
+    :class:`~repro.eval.matcher.AtomMatcher`), instead of a scan over all
+    facts.  The result is cached on the database and kept consistent across
+    mutations by the delta pipeline: add/remove deltas are replayed through a
     :class:`~repro.eval.deltas.SolutionGraphMaintainer` (touching only the
     changed fact's solution pairs) instead of rebuilding, so the fixpoint
     algorithm, the matching algorithm and the component decomposition all
@@ -214,19 +214,8 @@ def solution_graph_from_pairs(
 
 def _build_solution_graph_indexed(query: TwoAtomQuery, database: Database) -> SolutionGraph:
     facts = database.facts()
-    index = database.index
-    matcher = AtomMatcher(query.atom_b, query.atom_a.all_variables)
-    atom_a = query.atom_a
-
-    def pairs():
-        for first in facts:
-            assignment = atom_a.match(first)
-            if assignment is None:
-                continue
-            for second in matcher.matches(index, assignment):
-                yield first, second
-
-    return solution_graph_from_pairs(facts, pairs())
+    pairs = graph_maintainer(query).a_to_b.pairs(database.index, facts)
+    return solution_graph_from_pairs(facts, pairs)
 
 
 def build_solution_graph_naive(query: TwoAtomQuery, database: Database) -> SolutionGraph:

@@ -13,7 +13,8 @@ incrementally on every mutation:
   all facts;
 * a *version counter* bumped on every successful ``add``/``remove``;
 * a keyed cache of derived structures (e.g. the solution graph of a query)
-  kept consistent through the *delta pipeline*: every mutation emits a typed
+  kept consistent through the *delta pipeline*: every mutation that a cached
+  structure or a listener will receive emits a typed
   :class:`~repro.eval.deltas.FactDelta`, and cached structures registered
   with a maintainer absorb the pending deltas lazily at read time instead of
   being invalidated and rebuilt (see :mod:`repro.eval.deltas`).  Structures
@@ -200,7 +201,7 @@ class Database:
             self._blocks[fact.block_id()] = block
         block._add(fact)
         self._index.add(fact)
-        self._emit(FactDelta(ADD, fact))
+        self._emit(ADD, fact)
         return True
 
     def add_all(self, facts: Iterable[Fact]) -> int:
@@ -217,7 +218,7 @@ class Database:
         if not len(block):
             del self._blocks[fact.block_id()]
         self._index.discard(fact)
-        self._emit(FactDelta(REMOVE, fact))
+        self._emit(REMOVE, fact)
         return True
 
     def copy(self) -> "Database":
@@ -243,15 +244,21 @@ class Database:
         """Monotone counter bumped on every successful mutation."""
         return self._version
 
-    def _emit(self, delta: FactDelta) -> None:
+    def _emit(self, op: str, fact: Fact) -> None:
         """Bump the version and route the delta through the pipeline.
 
         Cached structures with a maintainer receive the delta in their
         pending queue (replayed lazily on the next read); structures without
         one are invalidated as in PR 1.  Registered listeners observe every
-        delta synchronously, in registration order.
+        delta synchronously, in registration order.  The
+        :class:`~repro.eval.deltas.FactDelta` is only built when a cache
+        entry or a listener will receive it, so filling a fresh database
+        costs no event objects.
         """
         self._version += 1
+        if not (self._derived or self._delta_listeners):
+            return
+        delta = FactDelta(op, fact)
         if self._derived:
             stale = []
             for key, entry in self._derived.items():

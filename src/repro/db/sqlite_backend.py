@@ -24,10 +24,10 @@ and the supported scalar types — ``str``, ``int``, ``bool``, ``float`` and
 ``None`` — round-trip exactly, so facts rehydrated from SQLite compare equal
 to the facts that were stored.
 
-The SQL fragments themselves (self-join, ``Cert_k`` seed filter, block
-grouping, escape probes) live in :mod:`repro.backends.fragments`; this store
-is one implementation of the :class:`repro.backends.base.Backend` protocol,
-alongside the generic :class:`repro.backends.dbapi.DbApiBackend`.
+The SQL fragments themselves (self-join, block grouping, escape probes) live
+in :mod:`repro.backends.fragments`; this store is one implementation of the
+:class:`repro.backends.base.Backend` protocol, alongside the generic
+:class:`repro.backends.dbapi.DbApiBackend`.
 """
 
 from __future__ import annotations
@@ -47,14 +47,11 @@ from ..backends.fragments import (
     TableSpec,
     block_sizes_sql,
     block_total_sql,
-    certk_seed_sql,
     escape_row_sql,
     scan_sql,
-    self_solution_sql,
     solution_pair_sql,
 )
 from ..backends.streaming import DEFAULT_BATCH_SIZE, BoundedRowStream
-from ..core.certk import certk_seed_cache_key
 from ..core.query import TwoAtomQuery
 from ..core.solutions import (
     SolutionGraph,
@@ -62,7 +59,7 @@ from ..core.solutions import (
     solution_graph_from_pairs,
 )
 from ..core.terms import Fact, RelationSchema
-from ..eval.deltas import SeedAntichain, graph_maintainer, seed_maintainer
+from ..eval.deltas import graph_maintainer
 from .fact_store import Database
 
 __all__ = [
@@ -77,9 +74,9 @@ class SqliteFactStore:
 
     With ``indexed`` (the default) the store runs in *indexed-on-disk* mode:
     a B-tree index over the key columns is created alongside the table, so
-    the block-structure ``GROUP BY``, the key-equality filters of the
-    ``Cert_k`` seeding pushdown and key-bound self-join probes are answered
-    from the index even on cold stores that never load into memory.
+    the block-structure ``GROUP BY``, the per-block totals and escape
+    probes, and key-bound self-join probes are answered from the index even
+    on cold stores that never load into memory.
 
     The store implements the relational backend protocol
     (:class:`repro.backends.base.Backend`): capabilities, bounded streaming
@@ -183,14 +180,12 @@ class SqliteFactStore:
         """Rehydrate into a :class:`Database`, pushing analyses down to SQL.
 
         When ``query`` is given, the solution pairs are computed by the SQL
-        self-join and installed as the database's cached solution graph, and
-        the ``Cert_k`` seed antichain is assembled from the SQL seeding
-        queries (key-equality filter evaluated by SQLite, against the key
-        index in indexed mode) — so the downstream algorithms (``Cert_k``,
+        self-join and installed as the database's cached solution graph — so
+        the downstream algorithms (``Cert_k``, which seeds off the graph,
         ``matching``, the component decomposition) skip the in-memory pair
-        discovery entirely.  Both primed structures register their delta
-        maintainers, so later mutations of the rehydrated database are
-        absorbed incrementally.
+        discovery entirely.  The primed graph registers its delta maintainer,
+        so later mutations of the rehydrated database are absorbed
+        incrementally.
         """
         database = Database(self.fetch_facts())
         if query is not None:
@@ -198,11 +193,6 @@ class SqliteFactStore:
                 solution_graph_cache_key(query),
                 self.solution_graph(query, database),
                 maintainer=graph_maintainer(query),
-            )
-            database.prime_cache(
-                certk_seed_cache_key(query),
-                self.certk_seed_antichain(query),
-                maintainer=seed_maintainer(query),
             )
         return database
 
@@ -367,63 +357,6 @@ class SqliteFactStore:
         if query.schema != self.schema:
             raise ValueError("query schema does not match the store schema")
         return solution_pair_sql(self.table_spec(), query, limit=limit)
-
-    # ------------------------------------------------------------------ #
-    # Cert_k seeding pushdown
-    # ------------------------------------------------------------------ #
-    def certk_seed_sql(self, query: TwoAtomQuery) -> str:
-        """SQL for the ``Cert_k`` pair seeds (returned for inspection).
-
-        The seeding rule of Section 5 keeps the solutions over two distinct,
-        *non-key-equal* facts; the key-equality filter is pushed into the SQL
-        self-join (and answered from the key index in indexed mode) instead
-        of being re-tested in Python per pair.  With key size 0 every pair of
-        facts shares the single block, so no pair seeds.
-        """
-        if query.schema != self.schema:
-            raise ValueError("query schema does not match the store schema")
-        return certk_seed_sql(self.table_spec(), query)
-
-    def self_solution_sql(self, query: TwoAtomQuery) -> str:
-        """SQL selecting the facts ``a`` with ``q(a a)`` (single-row solutions).
-
-        Both atoms are mapped onto one table alias: every variable occurring
-        at several positions (within or across the atoms) induces a column
-        equality on the same row.
-        """
-        if query.schema != self.schema:
-            raise ValueError("query schema does not match the store schema")
-        return self_solution_sql(self.table_spec(), query)
-
-    def certk_self_solutions(self, query: TwoAtomQuery) -> List[Fact]:
-        """The self-solution seeds, computed in SQL."""
-        cursor = self.connection.execute(self.self_solution_sql(query))
-        return [
-            Fact(self.schema, tuple(_decode_element(text) for text in row))
-            for row in cursor.fetchall()
-        ]
-
-    def certk_seed_pairs(self, query: TwoAtomQuery) -> List[Tuple[Fact, Fact]]:
-        """The pair seeds (distinct, non-key-equal solutions), computed in SQL."""
-        cursor = self.connection.execute(self.certk_seed_sql(query))
-        arity = self.schema.arity
-        pairs = []
-        for row in cursor.fetchall():
-            first = Fact(self.schema, tuple(_decode_element(text) for text in row[:arity]))
-            second = Fact(self.schema, tuple(_decode_element(text) for text in row[arity:]))
-            pairs.append((first, second))
-        return pairs
-
-    def certk_seed_antichain(self, query: TwoAtomQuery) -> SeedAntichain:
-        """The minimal ``Cert_k`` seed antichain assembled from the SQL seeds.
-
-        Equals the antichain the in-memory pipeline derives from the solution
-        graph (``tests/test_deltas.py`` pins the equality); installed into
-        the rehydrated database's cache by :meth:`to_indexed_database`.
-        """
-        return SeedAntichain.from_solutions(
-            self.certk_self_solutions(query), self.certk_seed_pairs(query)
-        )
 
     def solution_edges(self, query: TwoAtomQuery) -> List[Tuple[Fact, Fact]]:
         """Unordered solution-graph edges ``{a, b}`` with ``a != b`` (via SQL)."""

@@ -7,16 +7,17 @@ all-pairs scans over the facts:
 
 * :class:`~repro.eval.fact_index.FactIndex` — facts hash-indexed by schema
   and by arbitrary bound-position patterns, maintained incrementally;
-* :class:`~repro.eval.matcher.AtomMatcher` — per-atom probing logic: given a
-  partial assignment produced by the other atom of the query, compute the
-  index key of every fact that can extend it and verify candidates;
-* :class:`~repro.eval.evaluator.IndexedEvaluator` — a per-query facade
-  bundling the matchers with the database-resident caches (solution graph,
-  initial ``Δ_k``), reusable across a stream of databases;
+* :class:`~repro.eval.matcher.AtomMatcher` — the compiled probe from a fact
+  playing one atom of the query to the facts playing the other: the index
+  key is read off the fact's values, and repeated variables become
+  position-pair equality checks;
+* :class:`~repro.eval.evaluator.IndexedEvaluator` — a per-query facade over
+  the database-resident caches (solution graph, initial ``Δ_k``), reusable
+  across a stream of databases;
 * :mod:`repro.eval.deltas` — the delta pipeline: typed
   :class:`~repro.eval.deltas.FactDelta` events emitted by
-  ``Database.add/remove`` and the maintainers that replay them into cached
-  derived structures (solution graph, ``Cert_k`` seed antichain);
+  ``Database.add/remove`` and the maintainer that replays them into the
+  cached solution graph;
 * :mod:`repro.eval.naive` — the seed quadratic implementations, kept verbatim
   as differential-testing oracles for the indexed paths.
 
@@ -31,13 +32,10 @@ from __future__ import annotations
 from .deltas import (
     ADD,
     REMOVE,
-    CertKSeedMaintainer,
     DeltaUnsupported,
     FactDelta,
-    SeedAntichain,
     SolutionGraphMaintainer,
     graph_maintainer,
-    seed_maintainer,
 )
 from .fact_index import FactIndex
 from .matcher import AtomMatcher
@@ -51,10 +49,7 @@ __all__ = [
     "REMOVE",
     "DeltaUnsupported",
     "SolutionGraphMaintainer",
-    "SeedAntichain",
-    "CertKSeedMaintainer",
     "graph_maintainer",
-    "seed_maintainer",
     "naive",
 ]
 

@@ -3,30 +3,29 @@
 PR 1 introduced version-guarded caching of derived structures on
 :class:`~repro.db.fact_store.Database`: any mutation invalidated every cached
 structure, so a single-fact ``add``/``remove`` on a large database forced a
-full rebuild of the solution graph and of the ``Cert_k`` seed antichain.
+full rebuild of the solution graph.
 
 This module replaces that contract with a *delta pipeline* in the spirit of
 incremental view maintenance:
 
-* every successful ``Database.add``/``remove`` emits a typed
-  :class:`FactDelta` event; the database parks the event in the pending queue
-  of every cached structure that registered a *maintainer*;
+* every successful ``Database.add``/``remove`` that a cached structure or a
+  listener will receive emits a typed :class:`FactDelta` event; the database
+  parks the event in the pending queue of every cached structure that
+  registered a *maintainer*;
 * when a cached structure is next read, the pending deltas are replayed
   through its maintainer instead of rebuilding from scratch;
 * maintainers that cannot absorb a delta raise :class:`DeltaUnsupported`,
   which makes the cache fall back to a full rebuild — incrementality is an
   optimisation, never a semantic contract.
 
-Two maintainers live here because they only need the eval-layer machinery
-(:class:`~repro.eval.matcher.AtomMatcher` probes of the database's
-incremental :class:`~repro.eval.fact_index.FactIndex`):
-
-* :class:`SolutionGraphMaintainer` — patches a cached solution graph
-  ``G(D, q)`` by discovering only the solution pairs the changed fact can
-  touch (two index probes, one per atom role) and splicing them in or out;
-* :class:`CertKSeedMaintainer` — maintains the :class:`SeedAntichain` that
-  seeds the ``Cert_k`` worklist fixpoint, so a mutated database reseeds from
-  the delta instead of re-deriving every solution pair.
+The solution-graph maintainer lives here because it only needs the
+eval-layer machinery: :class:`SolutionGraphMaintainer` patches a cached
+solution graph ``G(D, q)`` by discovering only the solution pairs the changed
+fact can touch (two compiled :class:`~repro.eval.matcher.AtomMatcher`
+probes of the database's incremental
+:class:`~repro.eval.fact_index.FactIndex`, one per atom role) and splicing
+them in or out.  ``Cert_k`` keeps no structure of its own: it seeds its
+fixpoint straight off this graph (see :mod:`repro.core.certk`).
 
 Replay happens lazily at read time, which batches arbitrarily interleaved
 mutations.  Maintainers therefore probe the database's *current* index (the
@@ -44,7 +43,6 @@ structure (cache key head)    add        remove
 ``solution_graph``            maintained maintained (guard: a replay naming a
                                          fact absent from the cached graph
                                          aborts to a rebuild)
-``certk_seeds``               maintained maintained
 ``q_block_components``        maintained **rebuild** — a removal can split a
                                          union-find component
 ``bipartite_matching``        maintained maintained — both directions; see
@@ -60,7 +58,7 @@ on the rows marked maintained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..core.terms import Fact
 from .matcher import AtomMatcher
@@ -69,8 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.query import TwoAtomQuery
     from ..core.solutions import SolutionGraph
     from ..db.fact_store import Database
-
-KSet = FrozenSet[Fact]
 
 #: The two kinds of fact delta a database can emit.
 ADD = "add"
@@ -100,18 +96,19 @@ class DeltaUnsupported(Exception):
 class SolutionGraphMaintainer:
     """Incremental view maintenance of ``G(D, q)`` under fact deltas.
 
-    The maintainer derives, once per query, the two
-    :class:`~repro.eval.matcher.AtomMatcher` probes needed to enumerate every
-    ordered solution involving one fact: the fact playing atom ``A`` (probe
-    ``B``'s bound positions) and the fact playing atom ``B`` (probe ``A``'s).
-    Applying a delta therefore costs two bucket lookups plus the degree of
-    the changed fact, instead of the full ``O(n)`` probe sweep of a rebuild.
+    The maintainer compiles, once per query, the two
+    :class:`~repro.eval.matcher.AtomMatcher` probes that enumerate every
+    ordered solution involving one fact: ``a_to_b`` for the fact playing
+    atom ``A`` and ``b_to_a`` for the fact playing atom ``B``.  Applying a
+    delta therefore costs two bucket lookups plus the degree of the changed
+    fact, instead of the full ``O(n)`` probe sweep of a rebuild (which runs
+    ``a_to_b`` over every fact).
     """
 
     def __init__(self, query: "TwoAtomQuery") -> None:
         self.query = query
-        self._matcher_b = AtomMatcher(query.atom_b, query.atom_a.all_variables)
-        self._matcher_a = AtomMatcher(query.atom_a, query.atom_b.all_variables)
+        self.a_to_b = AtomMatcher(query.atom_a, query.atom_b)
+        self.b_to_a = AtomMatcher(query.atom_b, query.atom_a)
 
     # ------------------------------------------------------------------ #
     # pair discovery
@@ -125,16 +122,10 @@ class SolutionGraphMaintainer:
         batched replay).
         """
         index = database.index
-        pairs: List[Tuple[Fact, Fact]] = []
-        assignment = self.query.atom_a.match(fact)
-        if assignment is not None:
-            for second in self._matcher_b.matches(index, assignment):
-                pairs.append((fact, second))
-        assignment = self.query.atom_b.match(fact)
-        if assignment is not None:
-            for first in self._matcher_a.matches(index, assignment):
-                if first != fact:  # (fact, fact) already found by the first probe
-                    pairs.append((first, fact))
+        pairs = [(fact, second) for second in self.a_to_b.partners(index, fact)]
+        for first in self.b_to_a.partners(index, fact):
+            if first != fact:  # (fact, fact) already found by the first probe
+                pairs.append((first, fact))
         return pairs
 
     # ------------------------------------------------------------------ #
@@ -185,165 +176,23 @@ class SolutionGraphMaintainer:
         graph._note_fact_removed(fact)
 
 
-class SeedAntichain:
-    """The minimal antichain seeding ``Cert_k``, maintained under fact deltas.
-
-    The antichain is exactly ``_minimise(singletons ∪ pairs)`` where
-    singletons are the self-solutions ``q(a a)`` and pairs the directed
-    solutions over distinct, non-key-equal facts: a pair is dominated iff it
-    contains a self-solution fact, so the minimal form is the singletons plus
-    the pairs avoiding them.  An inverted fact → members index makes both
-    delta directions cost the degree of the changed fact.
-    """
-
-    __slots__ = ("members", "_by_fact", "_singleton_facts")
-
-    def __init__(self) -> None:
-        self.members: Set[KSet] = set()
-        self._by_fact: Dict[Fact, Set[KSet]] = {}
-        self._singleton_facts: Set[Fact] = set()
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_solutions(
-        cls, self_solutions: Iterable[Fact], pairs: Iterable[Tuple[Fact, Fact]]
-    ) -> "SeedAntichain":
-        """Build the minimal antichain from raw solution data.
-
-        ``pairs`` may contain self-pairs, key-equal pairs and both
-        orientations; they are filtered/deduplicated here, so the SQL seeding
-        pushdown and the in-memory builder share one normalisation point.
-        """
-        antichain = cls()
-        for fact in self_solutions:
-            antichain.add_singleton(fact)
-        for first, second in pairs:
-            antichain.add_pair(first, second)
-        return antichain
-
-    # ------------------------------------------------------------------ #
-    # mutation
-    # ------------------------------------------------------------------ #
-    def add_singleton(self, fact: Fact) -> None:
-        """Insert ``{fact}``, evicting the pairs it dominates."""
-        if fact in self._singleton_facts:
-            return
-        for member in list(self._by_fact.get(fact, ())):
-            if len(member) > 1:
-                self._discard_member(member)
-        self._singleton_facts.add(fact)
-        self._insert(frozenset((fact,)))
-
-    def add_pair(self, first: Fact, second: Fact) -> None:
-        """Insert ``{first, second}`` unless filtered or dominated."""
-        if first == second or first.key_equal(second):
-            return
-        if first in self._singleton_facts or second in self._singleton_facts:
-            return
-        self._insert(frozenset((first, second)))
-
-    def discard_fact(self, fact: Fact) -> None:
-        """Remove every member containing ``fact`` (the fact left the database)."""
-        for member in list(self._by_fact.get(fact, ())):
-            self._discard_member(member)
-        self._by_fact.pop(fact, None)
-        self._singleton_facts.discard(fact)
-
-    def _insert(self, member: KSet) -> None:
-        if member in self.members:
-            return
-        self.members.add(member)
-        for fact in member:
-            self._by_fact.setdefault(fact, set()).add(member)
-
-    def _discard_member(self, member: KSet) -> None:
-        self.members.discard(member)
-        for fact in member:
-            bucket = self._by_fact.get(fact)
-            if bucket is not None:
-                bucket.discard(member)
-
-    # ------------------------------------------------------------------ #
-    # reading
-    # ------------------------------------------------------------------ #
-    def snapshot(self, k: int) -> Set[KSet]:
-        """A fresh copy of the antichain restricted to sets of size <= ``k``."""
-        if k >= 2:
-            return set(self.members)
-        return {member for member in self.members if len(member) <= k}
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SeedAntichain(members={len(self.members)})"
-
-
-class CertKSeedMaintainer:
-    """Builds and delta-maintains the ``Cert_k`` seed antichain of a query.
-
-    The instance doubles as the cache *builder* (:meth:`build`, reading the
-    — itself delta-maintained — solution graph) and the cache *maintainer*
-    (:meth:`__call__`, probing the index for the changed fact only).
-    """
-
-    def __init__(self, query: "TwoAtomQuery") -> None:
-        self.query = query
-        self._graph_maintainer = graph_maintainer(query)
-
-    def build(self, database: "Database") -> SeedAntichain:
-        from ..core.solutions import build_solution_graph
-
-        graph = build_solution_graph(self.query, database)
-        return SeedAntichain.from_solutions(graph.self_loops, graph.directed)
-
-    def __call__(
-        self, database: "Database", antichain: SeedAntichain, delta: FactDelta
-    ) -> SeedAntichain:
-        fact = delta.fact
-        if not delta.is_add:
-            antichain.discard_fact(fact)
-            return antichain
-        if self.query.is_self_solution(fact):
-            # Self-solution status is a property of the fact alone, so the
-            # singleton — which dominates every pair through the fact — can
-            # be inserted without probing for partners.
-            antichain.add_singleton(fact)
-            return antichain
-        for first, second in self._graph_maintainer.pairs_of(database, fact):
-            antichain.add_pair(first, second)
-        return antichain
-
-
 # --------------------------------------------------------------------------- #
 # shared per-query maintainer instances
 # --------------------------------------------------------------------------- #
-#: Maintainers are stateless per query; every consumer (graph cache, Cert_k
-#: runners, the SQLite pushdown, SolutionGraph.apply_delta) shares one
-#: instance per query so the AtomMatcher probe patterns are derived once.
-#: The memos are bounded as a leak guard for services answering unbounded
-#: streams of ad-hoc queries.
+#: Maintainers are stateless per query; every consumer (graph cache and
+#: builder, the SQLite pushdown, SolutionGraph.apply_delta) shares one
+#: instance per query so the AtomMatcher probes are compiled once.  The memo
+#: is bounded as a leak guard for services answering unbounded streams of
+#: ad-hoc queries.
 _MAINTAINER_MEMO_LIMIT = 512
 _GRAPH_MAINTAINERS: Dict["TwoAtomQuery", SolutionGraphMaintainer] = {}
-_SEED_MAINTAINERS: Dict["TwoAtomQuery", CertKSeedMaintainer] = {}
-
-
-def _memoised(memo, query, factory):
-    maintainer = memo.get(query)
-    if maintainer is None:
-        if len(memo) >= _MAINTAINER_MEMO_LIMIT:
-            memo.clear()
-        maintainer = memo[query] = factory(query)
-    return maintainer
 
 
 def graph_maintainer(query: "TwoAtomQuery") -> SolutionGraphMaintainer:
     """The shared :class:`SolutionGraphMaintainer` of ``query``."""
-    return _memoised(_GRAPH_MAINTAINERS, query, SolutionGraphMaintainer)
-
-
-def seed_maintainer(query: "TwoAtomQuery") -> CertKSeedMaintainer:
-    """The shared :class:`CertKSeedMaintainer` of ``query``."""
-    return _memoised(_SEED_MAINTAINERS, query, CertKSeedMaintainer)
+    maintainer = _GRAPH_MAINTAINERS.get(query)
+    if maintainer is None:
+        if len(_GRAPH_MAINTAINERS) >= _MAINTAINER_MEMO_LIMIT:
+            _GRAPH_MAINTAINERS.clear()
+        maintainer = _GRAPH_MAINTAINERS[query] = SolutionGraphMaintainer(query)
+    return maintainer

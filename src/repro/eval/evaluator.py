@@ -1,12 +1,13 @@
 """The per-query indexed evaluation facade.
 
-:class:`IndexedEvaluator` bundles, for one fixed query, the matchers and the
-database-resident caches used by the algorithm stack.  It is the natural
-companion of the batch engine API
+:class:`IndexedEvaluator` bundles, for one fixed query, the index-driven
+query semantics and the database-resident caches used by the algorithm
+stack.  It is the natural companion of the batch engine API
 (:meth:`repro.core.certain.CertainEngine.explain_many`): construct it once
-and point it at a stream of databases — all per-query precomputation (probe
-patterns, matchers) is shared, while per-database structures (the solution
-graph) live in each database's version-guarded cache.
+and point it at a stream of databases — the per-query compiled probes are
+shared (through :func:`~repro.eval.deltas.graph_maintainer`), while
+per-database structures (the solution graph) live in each database's
+version-guarded cache.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..db.fact_store import Database
-from .matcher import AtomMatcher
 from ..core.query import TwoAtomQuery
 from ..core.solutions import SolutionGraph, build_solution_graph
 from ..core.terms import Fact
@@ -27,8 +27,6 @@ class IndexedEvaluator:
 
     def __init__(self, query: TwoAtomQuery) -> None:
         self.query = query
-        #: Matcher probing atom B under assignments produced by atom A.
-        self.matcher_b = AtomMatcher(query.atom_b, query.atom_a.all_variables)
 
     # ------------------------------------------------------------------ #
     # query semantics

@@ -17,13 +17,24 @@ as the naive scans they replace.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..core.terms import Element, Fact
 
 Pattern = Tuple[int, ...]
 PatternKey = Tuple[str, Pattern]
 ProbeKey = Tuple[Element, ...]
+
+
+def probe_reader(positions: Pattern) -> Callable[[Sequence[Element]], ProbeKey]:
+    """Reads the probe key ``tuple(values[p] for p in positions)`` off values."""
+    if not positions:
+        return lambda values: ()
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda values: (values[position],)
+    return itemgetter(*positions)
 
 
 class FactIndex:
@@ -74,10 +85,9 @@ class FactIndex:
         if key in self._buckets:
             return
         buckets: Dict[ProbeKey, Dict[Fact, None]] = {}
+        probe = probe_reader(key[1])
         for fact in self._by_schema.get(schema_name, ()):
-            values = fact.values
-            probe = tuple(values[position] for position in key[1])
-            buckets.setdefault(probe, {})[fact] = None
+            buckets.setdefault(probe(fact.values), {})[fact] = None
         self._buckets[key] = buckets
 
     # ------------------------------------------------------------------ #
@@ -86,25 +96,33 @@ class FactIndex:
     def lookup(
         self, schema_name: str, positions: Sequence[int], values: Sequence[Element]
     ) -> List[Fact]:
-        """Facts whose projection on ``positions`` equals ``values``.
+        """Facts whose projection on ``positions`` equals ``values`` (a copy).
 
         The empty pattern returns every fact of the schema.  The pattern is
         registered (and backfilled) on first use.
         """
+        bucket = self.buckets(schema_name, positions).get(tuple(values))
+        return list(bucket) if bucket else []
+
+    def buckets(
+        self, schema_name: str, positions: Sequence[int]
+    ) -> Dict[ProbeKey, Dict[Fact, None]]:
+        """The live probe-key → bucket map of one pattern, registered on first use.
+
+        The empty pattern maps ``()`` to every fact of the schema.  The
+        buckets are the index's own dicts, handed out without a copy: read
+        them only, and never across a mutation of the index.
+        """
         pattern = tuple(positions)
         if not pattern:
-            return self.facts_of(schema_name)
+            facts = self._by_schema.get(schema_name)
+            return {(): facts} if facts else {}
         key = (schema_name, pattern)
         buckets = self._buckets.get(key)
         if buckets is None:
             self.register(schema_name, pattern)
             buckets = self._buckets[key]
-        bucket = buckets.get(tuple(values))
-        return list(bucket) if bucket else []
-
-    def facts_of(self, schema_name: str) -> List[Fact]:
-        """All facts of one schema, in insertion order."""
-        return list(self._by_schema.get(schema_name, ()))
+        return buckets
 
     def patterns(self) -> List[PatternKey]:
         """The registered (schema, positions) patterns (for introspection)."""

@@ -1,89 +1,126 @@
-"""Index-driven matching of one query atom under a partial assignment.
+"""Compiled probes finding the solution partners of one fact.
 
-Solution discovery for a two-atom query ``q = A B`` proceeds in two steps:
-match ``A`` against a fact (producing an assignment of ``vars(A)``) and find
-every fact that extends the assignment to ``B``.  The naive substrate scans
-all facts for the second step; :class:`AtomMatcher` instead derives, once per
-query, the positions of ``B`` whose variable is bound by ``vars(A)`` and
-probes a :class:`~repro.eval.fact_index.FactIndex` with the corresponding
-values.  Every fact that extends the assignment necessarily lies in the
-probed bucket, so the lookup is complete; a cheap verification pass rejects
-bucket members that violate repeated-variable constraints.
+Solution discovery for a two-atom query ``q = A B`` asks, for a fact playing
+one atom (the *source*), for every fact that plays the other atom (the
+*target*) under the same assignment.  The naive substrate scans all facts
+for the partner.  :class:`AtomMatcher` compiles one (source, target) pair of
+atoms once per query instead:
+
+* the *probe*: every target variable that the source binds contributes its
+  first target position to the index pattern and its first source position
+  to the key, so the key is read straight off the source fact's values.
+  Every partner lies in that bucket of a
+  :class:`~repro.eval.fact_index.FactIndex` (the whole schema when the atoms
+  share no variable), so the lookup is complete;
+* the *checks*: each atom's repeated variables become position-pair
+  equalities, tested on the source fact before probing and on every bucket
+  member after, next to a schema check on both sides.
+
+No assignment dict is built per fact.  Buckets are iterated in place, without
+a copy, so callers must not mutate the index while they consume
+:meth:`AtomMatcher.partners` or :meth:`AtomMatcher.pairs`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.terms import Atom, Element, Fact
-from .fact_index import FactIndex
+from .fact_index import FactIndex, probe_reader
 
-Assignment = Dict[str, Element]
+#: Tests a fact's values against an atom's repeated variables.
+ValuesTest = Callable[[Tuple[Element, ...]], bool]
+
+
+def _compile_atom(atom: Atom) -> Tuple[Dict[str, int], Optional[ValuesTest]]:
+    """Each variable's first position, plus a test of the repeated ones.
+
+    The test compares the values at every later occurrence of a variable
+    with the value at its first; it is ``None`` when no variable repeats.
+    """
+    first: Dict[str, int] = {}
+    repeats: List[Tuple[int, int]] = []
+    for position, variable in enumerate(atom.variables):
+        if variable in first:
+            repeats.append((first[variable], position))
+        else:
+            first[variable] = position
+    if not repeats:
+        return first, None
+    left = itemgetter(*(i for i, _ in repeats))
+    right = itemgetter(*(j for _, j in repeats))
+    return first, lambda values: left(values) == right(values)
 
 
 class AtomMatcher:
-    """Finds facts matching ``atom`` given assignments of ``context_variables``.
+    """The compiled probe from a fact playing ``source`` to facts playing ``target``.
 
-    ``context_variables`` is the set of variables bound before the probe —
-    for the second atom of a two-atom query this is ``vars(A)``.  One
-    position per bound variable is enough for the index key; any further
-    occurrences (repeated variables) are checked by :meth:`verify`.
+    ``partners(index, a)`` lists every ``b`` in ``index`` such that one
+    assignment maps ``source`` to ``a`` and ``target`` to ``b``; with
+    ``source = A`` and ``target = B`` that is the paper's ``q(a b)``, and
+    with the atoms swapped it is ``q(b a)``.
     """
 
-    def __init__(self, atom: Atom, context_variables: Iterable[str]) -> None:
-        self.atom = atom
-        self.schema = atom.schema
-        bound = set(context_variables) & set(atom.variables)
-        positions: List[int] = []
-        probe_variables: List[str] = []
-        seen = set()
-        for position, variable in enumerate(atom.variables):
-            if variable in bound and variable not in seen:
-                positions.append(position)
-                probe_variables.append(variable)
-                seen.add(variable)
-        self.positions: Tuple[int, ...] = tuple(positions)
-        self.probe_variables: Tuple[str, ...] = tuple(probe_variables)
+    __slots__ = ("source", "target", "pattern", "_key", "_source_test", "_target_test")
+
+    def __init__(self, source: Atom, target: Atom) -> None:
+        self.source = source
+        self.target = target
+        source_first, self._source_test = _compile_atom(source)
+        target_first, self._target_test = _compile_atom(target)
+        bound = [
+            (position, source_first[variable])
+            for variable, position in target_first.items()
+            if variable in source_first
+        ]
+        #: The target positions probed in the index, in position order.
+        self.pattern: Tuple[int, ...] = tuple(position for position, _ in bound)
+        #: Reads the probe key off a source fact's values.
+        self._key = probe_reader(tuple(position for _, position in bound))
+
+    def __reduce__(self):
+        # Cached graphs travel to pool workers with their maintainer; the
+        # compiled closures do not pickle, so the receiver recompiles.
+        return (AtomMatcher, (self.source, self.target))
 
     # ------------------------------------------------------------------ #
     # probing
     # ------------------------------------------------------------------ #
-    def probe_key(self, assignment: Assignment) -> Tuple[Element, ...]:
-        """The index key selecting facts compatible with ``assignment``."""
-        return tuple(assignment[variable] for variable in self.probe_variables)
+    def partners(self, index: FactIndex, fact: Fact) -> List[Fact]:
+        """The facts of ``index`` playing ``target`` with ``fact`` as ``source``."""
+        return [partner for _, partner in self.pairs(index, (fact,))]
 
-    def candidates(self, index: FactIndex, assignment: Assignment) -> List[Fact]:
-        """Bucket of facts that may extend ``assignment`` (superset-complete)."""
-        return index.lookup(self.schema.name, self.positions, self.probe_key(assignment))
+    def pairs(self, index: FactIndex, facts: Iterable[Fact]) -> Iterator[Tuple[Fact, Fact]]:
+        """``(a, b)`` for every ``a`` in ``facts`` and each partner ``b`` of ``a``.
 
-    def verify(self, assignment: Assignment, fact: Fact) -> bool:
-        """Whether ``fact`` truly extends ``assignment`` to this atom.
-
-        Mirrors :meth:`repro.core.query.TwoAtomQuery._extends_to_b`: bound
-        variables must agree with the assignment and repeated variables must
-        agree with themselves.
+        Facts not matching ``source`` yield nothing.  Partners come in index
+        (insertion) order, straight from the live bucket.
         """
-        if fact.schema != self.schema:
-            return False
-        seen: Assignment = {}
-        for variable, value in zip(self.atom.variables, fact.values):
-            if variable in assignment and assignment[variable] != value:
-                return False
-            if variable in seen and seen[variable] != value:
-                return False
-            seen[variable] = value
-        return True
-
-    def matches(self, index: FactIndex, assignment: Assignment) -> Iterator[Fact]:
-        """Facts extending ``assignment``, in index (insertion) order."""
-        for fact in self.candidates(index, assignment):
-            if self.verify(assignment, fact):
-                yield fact
-
-
-def iter_atom_matches(index: FactIndex, atom: Atom) -> Iterator[Tuple[Fact, Assignment]]:
-    """Every ``(fact, assignment)`` with ``atom.match(fact) == assignment``."""
-    for fact in index.facts_of(atom.schema.name):
-        assignment = atom.match(fact)
-        if assignment is not None:
-            yield fact, assignment
+        source_schema = self.source.schema
+        target_schema = self.target.schema
+        source_test = self._source_test
+        target_test = self._target_test
+        key = self._key
+        buckets = None
+        for fact in facts:
+            schema = fact.schema
+            if schema is not source_schema and schema != source_schema:
+                continue
+            values = fact.values
+            if source_test is not None and not source_test(values):
+                continue
+            if buckets is None:
+                # Registered only once a fact matches: a same-named relation
+                # of another arity must never be indexed on these positions.
+                buckets = index.buckets(target_schema.name, self.pattern)
+            bucket = buckets.get(key(values))
+            if not bucket:
+                continue
+            for partner in bucket:
+                schema = partner.schema
+                if schema is not target_schema and schema != target_schema:
+                    continue
+                if target_test is not None and not target_test(partner.values):
+                    continue
+                yield fact, partner

@@ -518,8 +518,8 @@ class DatasetRef:
 
         ``pushdown`` only affects SQLite references: with it (the default,
         and what the planner's ``sqlite-pushdown`` strategy selects) the
-        rehydrated database arrives with the SQL-computed solution graph and
-        ``Cert_k`` seed antichain primed into its derived cache.
+        rehydrated database arrives with the SQL-computed solution graph
+        primed into its derived cache.
         """
         if self.kind == self.MEMORY:
             return self._database

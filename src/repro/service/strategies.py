@@ -307,8 +307,8 @@ class IndexedMemoryStrategy(_SequentialExecution):
 class SqlitePushdownStrategy(_SequentialExecution):
     """Resolution through the SQLite backend's SQL pushdown.
 
-    The rehydrated database arrives with the solution pairs and ``Cert_k``
-    seed antichain precomputed in SQL, so the Python side skips the graph
+    The rehydrated database arrives with its solution graph (which also seeds
+    ``Cert_k``) precomputed in SQL, so the Python side skips the graph
     build — the cost model prices that as a lower per-fact term.
     """
 

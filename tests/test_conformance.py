@@ -194,7 +194,7 @@ def test_delta_stream_answers_agree_with_bruteforce_oracle():
 
     The same database object is mutated between answers, so every verdict
     after the first is produced by the delta-maintained structures — the
-    spliced solution graph, the ``Cert_k`` seed antichain, and the
+    spliced solution graph (which also seeds ``Cert_k``) and the
     incrementally repaired ``matching(q)`` — rather than by from-scratch
     construction.  Each verdict is pinned to the brute-force repair
     enumeration on a snapshot of the current facts.

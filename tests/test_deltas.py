@@ -1,8 +1,8 @@
 """Delta-pipeline correctness: incremental maintenance vs from-scratch oracles.
 
 The PR 2 refactor replaced invalidate-on-mutation caching with delta-driven
-maintenance of the solution graph and of the ``Cert_k`` seed antichain, plus
-a process-sharded parallel batch mode.  This suite pins every incremental
+maintenance of the solution graph (which also seeds ``Cert_k``), plus a
+process-sharded parallel batch mode.  This suite pins every incremental
 path to the from-scratch construction it replaces:
 
 * randomised add/remove interleavings — the delta-maintained solution graph
@@ -14,7 +14,7 @@ path to the from-scratch construction it replaces:
 * fallback behaviour — backlog overflow and maintainerless entries rebuild;
 * the memoised component/clique decompositions under deltas;
 * the sharded parallel batch engine vs the sequential stream;
-* the SQLite ``Cert_k`` seeding pushdown vs the in-memory antichain;
+* the ``Cert_k`` seeds of a SQL-primed solution graph vs the naive seeding;
 * the :class:`RepairOracle` vs per-repair ``satisfied_by`` scans.
 """
 
@@ -34,12 +34,10 @@ from repro import (
     MatchingAlgorithm,
     NaiveCertK,
     RepairOracle,
-    SeedAntichain,
     SqliteFactStore,
     block_component_maintainer,
     build_solution_graph,
     build_solution_graph_naive,
-    certk_seed_cache_key,
     exact_support,
     matching_cache_key,
     parse_query,
@@ -97,17 +95,36 @@ def mutate(database, rng, query, live):
 class TestFactDeltaEvents:
     def test_mutations_emit_typed_deltas(self):
         query = QUERIES["easy_cert2"]
-        database = Database()
+        # Filled while nothing listens: no event is built, but every write
+        # still bumps the version.
+        database = Database([Fact(query.schema, (7, 8)), Fact(query.schema, (8, 9))])
+        assert database.version == 2
         seen = []
-        database.add_delta_listener(seen.append)
+        database.add_delta_listener(seen.append)  # registered after construction
         first = Fact(query.schema, (1, 2))
         assert database.add(first)
         assert not database.add(first)  # duplicate: no event
         assert database.remove(first)
         assert seen == [FactDelta(ADD, first), FactDelta(REMOVE, first)]
+        assert database.version == 4
         database.remove_delta_listener(seen.append)
+        # Caches created before a write receive it with no listener left: a
+        # maintained entry replays the delta, a maintainerless one is dropped.
+        replayed = []
+
+        def maintain(db, value, delta):
+            replayed.append(delta)
+            return value
+
+        assert database.cached("maintained", lambda db: "built", maintainer=maintain) == "built"
+        assert database.cached("plain", lambda db: db.version) == 4
         database.add(first)
         assert len(seen) == 2
+        assert database.version == 5
+        assert database.cached("maintained", lambda db: "rebuilt", maintainer=maintain) == "built"
+        assert replayed == [FactDelta(ADD, first)]
+        assert database.cached("plain", lambda db: db.version) == 5
+        assert database.derived_cache_stats(by="key")["plain"]["invalidations"] == 1
 
     def test_invalid_delta_op_rejected(self):
         with pytest.raises(ValueError):
@@ -281,32 +298,16 @@ class TestCertKSeedDeltas:
             assert incremental.certain == naive.certain
             assert incremental.delta == naive.delta
 
-    def test_seed_antichain_is_resumed_not_reseeded(self):
-        query = QUERIES["easy_cert2"]
-        rng = random.Random(3)
-        database = random_solution_database(query, 6, 4, 4, rng)
-        runner = CertK(query, 2)
-        runner.run(database)
-        cached = database.cached(
-            certk_seed_cache_key(query), runner._seed_maintainer.build
-        )
-        database.add(Fact(query.schema, (91, 92)))
-        runner.run(database)
-        resumed = database.cached(
-            certk_seed_cache_key(query), runner._seed_maintainer.build
-        )
-        assert resumed is cached  # same antichain object, delta applied in place
-
     def test_singleton_dominates_pairs_across_a_burst(self):
         # q3 = R(x|y) R(y|z): (5,5) alone satisfies the query (self-solution).
-        # Within one unread burst, the replay of `add (4,5)` discovers the
-        # pair {(4,5), (5,5)} before (5,5)'s own delta turns it into a
-        # dominating singleton — the later replay must evict the pair.
+        # Within one unread burst, the replay of `add (4,5)` splices the edge
+        # {(4,5), (5,5)} before (5,5)'s own delta makes it a self-loop — the
+        # seeding must then skip the pair the singleton dominates.
         query = QUERIES["easy_cert2"]
         schema = query.schema
         database = Database([Fact(schema, (1, 2)), Fact(schema, (9, 1))])
         runner = CertK(query, 2)
-        runner.run(database)  # warm the graph and seed caches
+        runner.run(database)  # warm the graph cache
         database.add(Fact(schema, (4, 5)))
         database.add(Fact(schema, (5, 5)))
         seeds = runner._initial_delta(database)  # replays the burst
@@ -374,14 +375,17 @@ class TestParallelBatchEngine:
 class TestSqliteSeedPushdown:
     @pytest.mark.parametrize("name", ["easy_cert2", "twoway_no_tripath", "twoway_triangle"])
     def test_sql_seed_antichain_matches_in_memory(self, name):
+        # The SQL self-join primes the solution graph; Cert_k seeds off it.
         query = QUERIES[name]
         database = random_solution_database(query, 7, 4, 4, random.Random(5))
         with SqliteFactStore(query.schema) as store:
             store.load_database(database)
-            sql_antichain = store.certk_seed_antichain(query)
-        in_memory = CertK(query, 2)._initial_delta(database)
-        assert sql_antichain.snapshot(2) == in_memory
-        assert sql_antichain.snapshot(1) == CertK(query, 1)._initial_delta(database)
+            rehydrated = store.to_indexed_database(query)
+        for k in (1, 2):
+            seeds = CertK(query, k)._initial_delta(rehydrated)
+            assert seeds == NaiveCertK(query, k)._initial_delta(database)
+        counters = rehydrated.derived_cache_stats()["solution_graph"]
+        assert counters["builds"] == 1 and counters["rebuilds"] == 0  # the primed graph
 
     def test_primed_database_resumes_from_deltas(self):
         query = QUERIES["easy_cert2"]
@@ -436,36 +440,49 @@ class TestRepairOracle:
 
 
 class TestSeedAntichainUnit:
+    """The minimal seed antichain, as ``CertK._initial_delta`` reads it off the graph."""
+
     def test_pairs_dominated_by_singletons(self):
-        schema = QUERIES["easy_cert2"].schema
-        a, b, c = Fact(schema, (1, 1)), Fact(schema, (2, 3)), Fact(schema, (3, 4))
-        antichain = SeedAntichain.from_solutions([a], [(a, b), (b, c)])
-        assert antichain.members == {frozenset((a,)), frozenset((b, c))}
-        antichain.add_singleton(b)  # evicts the pair through b
-        assert antichain.members == {frozenset((a,)), frozenset((b,))}
-        antichain.discard_fact(a)
-        assert antichain.members == {frozenset((b,))}
+        # q3 = R(x|y) R(y|z): a = (1,1) is a self-solution; q(b a) and
+        # q(b2 a) hold, so {a} dominates both pairs through a; q(c b) seeds.
+        query = QUERIES["easy_cert2"]
+        schema = query.schema
+        a, b, b2, c = (Fact(schema, values) for values in ((1, 1), (0, 1), (2, 1), (3, 0)))
+        database = Database([a, b, b2, c])
+        graph = build_solution_graph(query, database)
+        assert graph.has_edge(a, b) and graph.has_edge(a, b2)
+        seeds = CertK(query, 2)._initial_delta(database)
+        assert seeds == {frozenset((a,)), frozenset((b, c))}
+        assert CertK(query, 1)._initial_delta(database) == {frozenset((a,))}
+        database.remove(a)  # the singleton leaves with its fact
+        assert CertK(query, 2)._initial_delta(database) == {frozenset((b, c))}
+        for k in (1, 2):
+            assert CertK(query, k)._initial_delta(database) == NaiveCertK(
+                query, k
+            )._initial_delta(database)
 
     def test_key_equal_and_self_pairs_filtered(self):
-        schema = QUERIES["easy_cert2"].schema
-        a, sibling = Fact(schema, (1, 2)), Fact(schema, (1, 3))
-        antichain = SeedAntichain.from_solutions([], [(a, a), (a, sibling)])
-        assert antichain.members == set()
-
-    def test_snapshot_is_a_copy(self):
-        schema = QUERIES["easy_cert2"].schema
-        a = Fact(schema, (1, 1))
-        antichain = SeedAntichain.from_solutions([a], [])
-        snap = antichain.snapshot(2)
-        snap.clear()
-        assert antichain.members == {frozenset((a,))}
+        # R(x|y,z) R(x|z,y): (1,2,3) and (1,3,2) form a key-equal solution
+        # pair (no seed); (1,2,2) is a self-solution, seeded as a singleton
+        # and never as the pair {(1,2,2), (1,2,2)}.
+        query = parse_query("R(x|y,z) R(x|z,y)")
+        schema = query.schema
+        a, sibling, loop = (Fact(schema, values) for values in ((1, 2, 3), (1, 3, 2), (1, 2, 2)))
+        database = Database([a, sibling])
+        assert build_solution_graph(query, database).has_edge(a, sibling)
+        assert CertK(query, 2)._initial_delta(database) == set()
+        database.add(loop)
+        assert build_solution_graph(query, database).has_directed(loop, loop)
+        assert CertK(query, 2)._initial_delta(database) == {frozenset((loop,))}
+        assert CertK(query, 2)._initial_delta(database) == NaiveCertK(
+            query, 2
+        )._initial_delta(database)
 
 
 class TestGraphCacheKeyCompatibility:
     def test_cache_keys_are_stable_tuples(self):
         query = QUERIES["easy_cert2"]
         assert solution_graph_cache_key(query) == ("solution_graph", query)
-        assert certk_seed_cache_key(query) == ("certk_seeds", query)
 
 
 def assert_bipartite_equal(left, right):

@@ -5,11 +5,15 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
+    Atom,
     CertK,
     Database,
     Fact,
     NaiveCertK,
+    RelationSchema,
+    TwoAtomQuery,
     build_solution_graph,
+    build_solution_graph_naive,
     cert_2,
     cert_k,
     certain_bruteforce,
@@ -81,10 +85,42 @@ def paper_query_streams(draw):
     """
     query, db = draw(paper_query_databases())
     values = st.tuples(*[st.integers(0, 2)] * query.schema.arity)
+    return query, db, draw(writes_over(values))
+
+
+def writes_over(values):
+    """Single-fact writes: ``("add", row)`` or ``("remove", index)`` (see above)."""
     write = st.one_of(
         st.tuples(st.just("add"), values), st.tuples(st.just("remove"), st.integers(0, 20))
     )
-    return query, db, draw(st.lists(write, min_size=1, max_size=6))
+    return st.lists(write, min_size=1, max_size=6)
+
+
+def apply_write(db, schema, write):
+    kind, operand = write
+    if kind == "add":
+        db.add(Fact(schema, operand))
+    elif len(db):
+        db.remove(db.facts()[operand % len(db)])
+
+
+@st.composite
+def random_query_streams(draw):
+    """A random two-atom query, a small database over {0, 1, 2} and writes.
+
+    Arity 1-4 and key size 0..arity; both atoms draw their variables from
+    {x, y, z, u}, so repeats within an atom, repeats across the atoms and
+    atoms sharing no variable all occur.
+    """
+    arity = draw(st.integers(1, 4))
+    schema = RelationSchema("R", arity, draw(st.integers(0, arity)))
+    variables = st.lists(st.sampled_from("xyzu"), min_size=arity, max_size=arity)
+    query = TwoAtomQuery(
+        Atom(schema, tuple(draw(variables))), Atom(schema, tuple(draw(variables)))
+    )
+    values = st.tuples(*[st.integers(0, 2)] * arity)
+    rows = draw(st.lists(values, max_size=6))
+    return query, Database(Fact(schema, row) for row in rows), draw(writes_over(values))
 
 
 @st.composite
@@ -214,17 +250,38 @@ class TestCertKMatchesNaive:
     @given(paper_query_streams(), st.sampled_from((1, 2, 3)))
     def test_reused_runner_matches_naive_after_every_write(self, case, k):
         # One runner and one database across the whole stream: per-run ids or
-        # search state leaking into the next run, or a stale seed antichain,
+        # search state leaking into the next run, or a stale cached graph,
         # would show up as a mismatch at some step.
         query, db, writes = case
         runner, oracle = CertK(query, k), NaiveCertK(query, k)
         self.assert_same(runner, oracle, db)
-        for kind, operand in writes:
-            if kind == "add":
-                db.add(Fact(query.schema, operand))
-            elif len(db):
-                db.remove(db.facts()[operand % len(db)])
+        for write in writes:
+            apply_write(db, query.schema, write)
             self.assert_same(runner, oracle, db)
+
+    @settings(_SETTINGS, max_examples=300)
+    @given(random_query_streams())
+    def test_random_queries_match_naive_after_every_write(self, case):
+        # Beyond q1..q7: the compiled probes that build and maintain the
+        # cached graph, and the Cert_k seeds read off it, on any query shape.
+        query, db, writes = case
+        runners = [(CertK(query, k), NaiveCertK(query, k)) for k in (1, 2)]
+
+        def check():
+            cached = build_solution_graph(query, db)
+            naive = build_solution_graph_naive(query, db)
+            assert cached.directed == naive.directed
+            assert cached.self_loops == naive.self_loops
+            assert {fact: adjacent for fact, adjacent in cached.edges.items() if adjacent} == {
+                fact: adjacent for fact, adjacent in naive.edges.items() if adjacent
+            }
+            for runner, oracle in runners:
+                self.assert_same(runner, oracle, db)
+
+        check()
+        for write in writes:
+            apply_write(db, query.schema, write)
+            check()
 
 
 class TestSatSubstrate:
