@@ -19,8 +19,8 @@ sufficient for every example query of the paper on the benchmark workloads.
 Two implementations are provided:
 
 * :class:`CertK` — a worklist/delta-driven fixpoint over fact ids.  The
-  initial antichain is read straight off the database-cached, index-built
-  and delta-maintained solution graph ``G(D, q)``: every self-loop seeds a
+  seeds are read straight off the database-cached, index-built and
+  delta-maintained solution graph ``G(D, q)``: every self-loop seeds a
   singleton and every edge across two blocks avoiding self-loops seeds a
   pair.  Each run interns the facts it meets to dense integer ids, so
   k-sets are sorted id tuples; each newly inserted minimal set enqueues only
@@ -29,8 +29,19 @@ Two implementations are provided:
   position bitmasks tests a candidate against a whole block in ``2^k``
   lookups.  Candidate k-sets that no insertion can ever affect are never
   materialised, so the cost is driven by the size of the fixpoint rather
-  than by the ``O(n^k)`` candidate space.  Results are converted back to
-  ``Fact`` frozensets only in :class:`CertKResult`.
+  than by the ``O(n^k)`` candidate space.
+
+  The fixpoint runs one block component at a time (blocks are joined when
+  a seed pair spans them).  As in the component argument of Proposition
+  10.6, no search step leaves a component, so ``Δ_k`` is the disjoint union
+  of the components' fixpoints and ``q`` passes ``Cert_k`` on ``D`` iff it
+  passes on one component.  Components run smallest first (by seed count)
+  and the run stops at the first one that derives the empty set; a certain
+  database with a small certain component is decided after a handful of
+  insertions, whatever the size of the rest.  In the worst case the only
+  certain component is the largest and every smaller one runs first, which
+  is at most the work of a non-certain run.  The result's ``delta`` is
+  converted back to ``Fact`` frozensets only when it is first read.
 * :class:`NaiveCertK` — the seed implementation: enumerate every candidate
   k-set with ``itertools.combinations`` and re-scan them all on every pass
   until nothing changes.  Kept verbatim as the differential-testing oracle.
@@ -43,11 +54,12 @@ order in which rule instances fire).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, combinations
-from typing import Deque, Dict, FrozenSet, List, Set, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..db.fact_store import BlockId, Database
+from ..graphs.components import find_root
 from .query import TwoAtomQuery
 from .solutions import SolutionGraph, build_solution_graph
 from .terms import Fact
@@ -57,18 +69,43 @@ KSet = FrozenSet[Fact]
 IdSet = Tuple[int, ...]
 
 
-@dataclass
 class CertKResult:
     """Outcome of running ``Cert_k(q)`` on a database.
 
     ``iterations`` counts fixpoint work: passes over the candidate space for
-    :class:`NaiveCertK`, processed antichain insertions for :class:`CertK`.
+    :class:`NaiveCertK`; for :class:`CertK`, antichain insertions processed
+    in the block components it ran (all of them unless one is certain).
+    ``delta`` is the computed antichain; a :class:`CertK` result builds it
+    from the run's fact ids on first access.
     """
 
-    certain: bool
-    k: int
-    delta: Set[KSet] = field(default_factory=set)
-    iterations: int = 0
+    def __init__(
+        self, certain: bool, k: int, delta: Optional[Set[KSet]] = None, iterations: int = 0
+    ) -> None:
+        self.certain = certain
+        self.k = k
+        self.iterations = iterations
+        self._delta = set() if delta is None else delta
+        self._pending: Optional[Callable[[], Set[KSet]]] = None
+
+    @property
+    def delta(self) -> Set[KSet]:
+        if self._pending is not None:
+            self._delta, self._pending = self._pending(), None
+        return self._delta
+
+    def _fields(self) -> tuple:
+        return (self.certain, self.k, self.delta, self.iterations)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "CertKResult(certain={!r}, k={!r}, delta={!r}, iterations={!r})".format(
+            *self._fields()
+        )
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.certain
@@ -89,8 +126,10 @@ class CertK:
     def run(self, database: Database) -> CertKResult:
         """Execute the fixpoint computation and report the outcome."""
         fixpoint = self._seeded(database)
-        certain = fixpoint.solve()
-        return CertKResult(certain, self.k, fixpoint.result_delta(), fixpoint.processed)
+        result = CertKResult(fixpoint.solve(), self.k, iterations=fixpoint.processed)
+        # Only the run's facts and antichain outlive it, not the database.
+        result._pending = partial(_as_facts, fixpoint.facts, fixpoint.delta)
+        return result
 
     def is_certain(self, database: Database) -> bool:
         """Boolean wrapper for :meth:`run` (the paper's ``D |= Cert_k(q)``)."""
@@ -106,11 +145,13 @@ class CertK:
     def _initial_delta(self, database: Database) -> Set[KSet]:
         """Minimal k-sets satisfying the query: solution pairs and self-solutions.
 
-        Exactly the seeds of :meth:`run` (see :class:`_WorklistFixpoint`):
-        self-loops seed singletons and, for ``k >= 2``, solution-graph edges
-        across two blocks avoiding self-loops seed pairs.
+        Exactly the seeds of :meth:`run`, every component's (see
+        :class:`_WorklistFixpoint`): self-loops seed singletons and, for
+        ``k >= 2``, solution-graph edges across two blocks avoiding self-loops
+        seed pairs.
         """
-        return self._seeded(database).result_delta()
+        fixpoint = self._seeded(database)
+        return _as_facts(fixpoint.facts, chain.from_iterable(fixpoint.groups))
 
 
 class _WorklistFixpoint:
@@ -154,10 +195,33 @@ class _WorklistFixpoint:
     a pair can only be dominated by a singleton inside it, i.e. by one of
     its endpoints being a self-loop, which the rule excludes.  Key-equal
     endpoints are excluded because a k-set holds at most one fact per block.
-    So the seeds are stored without domination checks, singletons first
-    (they are the closest to deriving the empty set).  Self-loops take ids
-    ``0 .. L-1``, and a non-self-loop fact is interned when its adjacency is
-    visited, so each edge is stored once, from its later-interned endpoint.
+    So the seeds need no domination checks, and each group below lists its
+    singletons first (they are the closest to deriving the empty set).
+    Self-loops take ids ``0 .. L-1``, and a non-self-loop fact is interned
+    when its adjacency is visited, so each edge is collected once, from its
+    later-interned endpoint.
+
+    Seeding collects the seeds without storing them: a union-find over the
+    run's block indices joins the two blocks of every seed pair, and each
+    resulting *component* keeps its seeds as one group.  A component refines a
+    ``q``-connected block component of Proposition 10.6 (a solution through
+    a self-loop or inside a block seeds nothing, so it joins nothing).  No
+    search step leaves a component: every seed lies in one, and a candidate
+    is a stored set ``S`` minus a member ``u``, extended by witnesses of a
+    member of ``block(u)``, which by induction lie in ``S``'s component.
+    Coverage tests, completion masks and witnesses of a component therefore
+    only ever see its own stored sets, and ``Δ_k`` is the disjoint union of
+    the components' fixpoints (a set spanning two components is never
+    minimal, and a block whose members are all singletons derives the empty
+    set on its own).  :meth:`solve` stores one group's seeds and drains the
+    worklist before storing the next, smallest group (by seed count) first,
+    ties in first-seen order, and returns at the first group that derives
+    the empty set: the order only decides when the empty set appears.  A
+    run that finds none has run every group, so ``delta`` is the whole
+    antichain, and ``processed`` always counts the insertions of the groups
+    visited.  The worst case is a certain database whose only certain
+    component is the largest: every smaller one runs first, which is still
+    at most the work of a non-certain run.
 
     The antichain does not depend on which uncovered block member is taken
     as the pivot.  When ``S`` is processed every witness of a firing ``C`` is
@@ -190,34 +254,33 @@ class _WorklistFixpoint:
         self.queue: Deque[IdSet] = deque()
         self.processed = 0
         self.empty_derived = False
-        self._seed(graph)
+        #: The seeds, one group per component, smallest group first.
+        self.groups = self._seed(graph)
 
-    def _seed(self, graph: SolutionGraph) -> None:
-        """Store the seeds read off ``graph`` (see the class notes)."""
+    def _seed(self, graph: SolutionGraph) -> List[List[IdSet]]:
+        """Collect the seeds read off ``graph``, grouped by component."""
         intern = self._intern
-        store = self._store
-        self_loops = graph.self_loops
-        for fact in self_loops:
-            store((intern(fact),))
-        if self.k < 2:
-            return
-        loops = len(self.facts)
-        ids = self._ids
+        seeds: List[IdSet] = [(intern(fact),) for fact in graph.self_loops]
+        loops = len(seeds)
         block_of = self._block_of
-        for first, adjacent in graph.edges.items():
-            if not adjacent or first in ids:  # isolated, or a self-loop
-                continue
-            later = intern(first)
-            block = block_of[later]
-            for second in adjacent:
-                earlier = ids.get(second)
-                if earlier is not None and earlier >= loops and block_of[earlier] != block:
-                    store((earlier, later))
-
-    def result_delta(self) -> Set[KSet]:
-        """The antichain as ``Fact`` frozensets."""
-        facts = self.facts
-        return {frozenset(facts[i] for i in member) for member in self.delta}
+        if self.k >= 2:
+            ids = self._ids
+            for first, adjacent in graph.edges.items():
+                if not adjacent or first in ids:  # isolated, or a self-loop
+                    continue
+                later = intern(first)
+                block = block_of[later]
+                for second in adjacent:
+                    earlier = ids.get(second)
+                    if earlier is not None and earlier >= loops and block_of[earlier] != block:
+                        seeds.append((earlier, later))
+        parent = list(range(len(self._members)))
+        for earlier, later in seeds[loops:]:
+            parent[find_root(parent, block_of[earlier])] = find_root(parent, block_of[later])
+        groups: Dict[int, List[IdSet]] = {}
+        for seed in seeds:
+            groups.setdefault(find_root(parent, block_of[seed[0]]), []).append(seed)
+        return sorted(groups.values(), key=len)
 
     # ------------------------------------------------------------------ #
     # interning
@@ -256,6 +319,16 @@ class _WorklistFixpoint:
     # driver
     # ------------------------------------------------------------------ #
     def solve(self) -> bool:
+        """Run the groups smallest first; stop at the first that derives ``()``."""
+        for group in self.groups:
+            for member in group:
+                self._store(member)
+            self._drain()
+            if self.empty_derived:
+                break
+        return self.empty_derived
+
+    def _drain(self) -> None:
         while self.queue and not self.empty_derived:
             member = self.queue.popleft()
             if member not in self.delta:
@@ -269,7 +342,6 @@ class _WorklistFixpoint:
                 self._search(member[:index] + member[index + 1:], block, full)
                 if self.empty_derived:
                     break
-        return self.empty_derived
 
     # ------------------------------------------------------------------ #
     # candidate generation
@@ -351,6 +423,11 @@ class _WorklistFixpoint:
             masks[rest] = masks.get(rest, 0) | bit_of[fid]
             inv[fid].add(member)
         self.queue.append(member)
+
+
+def _as_facts(facts: List[Fact], members: Iterable[IdSet]) -> Set[KSet]:
+    """Per-run id tuples as ``Fact`` frozensets (``facts`` maps id → fact)."""
+    return {frozenset(facts[i] for i in member) for member in members}
 
 
 def _subsets(ids: IdSet) -> Tuple[IdSet, ...]:

@@ -23,9 +23,11 @@ from .terms import Fact
 class SolutionGraph:
     """The undirected solution graph ``G(D, q)`` plus directed solution data.
 
-    ``edges`` holds the undirected adjacency (``q{a b}``, with ``a != b``),
-    ``directed`` the ordered solutions (``q(a b)``), and ``self_loops`` the
-    facts ``a`` with ``q(a a)``.
+    ``facts`` holds the vertices in insertion order (a dict mapping each fact
+    to ``None``, so a delta removes one in ``O(1)``), ``edges`` the
+    undirected adjacency (``q{a b}``, with ``a != b``), ``directed`` the
+    ordered solutions (``q(a b)``), and ``self_loops`` the facts ``a`` with
+    ``q(a a)``.
 
     The graph is a live view when cached on a database: fact deltas are
     spliced in by :class:`~repro.eval.deltas.SolutionGraphMaintainer` (see
@@ -34,7 +36,7 @@ class SolutionGraph:
     incrementally, removals fall back to a lazy recompute.
     """
 
-    facts: List[Fact]
+    facts: Dict[Fact, None]
     edges: Dict[Fact, Set[Fact]] = field(default_factory=dict)
     directed: Set[Tuple[Fact, Fact]] = field(default_factory=set)
     self_loops: Set[Fact] = field(default_factory=set)
@@ -200,8 +202,9 @@ def solution_graph_from_pairs(
     oracle and the SQLite pushdown — all three only differ in how the pairs
     are produced.
     """
-    materialised = list(facts)
-    graph = SolutionGraph(facts=materialised, edges={fact: set() for fact in materialised})
+    edges: Dict[Fact, Set[Fact]] = {fact: set() for fact in facts}
+    # fromkeys over a dict reuses its stored hashes (Fact.__hash__ is Python).
+    graph = SolutionGraph(facts=dict.fromkeys(edges), edges=edges)
     for first, second in pairs:
         graph.directed.add((first, second))
         if first == second:

@@ -141,7 +141,7 @@ class SolutionGraphMaintainer:
         return graph
 
     def _apply_add(self, database: "Database", graph: "SolutionGraph", fact: Fact) -> None:
-        graph.facts.append(fact)
+        graph.facts[fact] = None
         graph.edges.setdefault(fact, set())
         new_edges: List[Tuple[Fact, Fact]] = []
         for first, second in self.pairs_of(database, fact):
@@ -169,10 +169,7 @@ class SolutionGraphMaintainer:
             graph.directed.discard((other, fact))
         graph.directed.discard((fact, fact))
         graph.self_loops.discard(fact)
-        try:
-            graph.facts.remove(fact)
-        except ValueError:  # pragma: no cover - edges and facts are maintained together
-            pass
+        graph.facts.pop(fact, None)
         graph._note_fact_removed(fact)
 
 

@@ -64,6 +64,14 @@ class UnionFind(Generic[Node]):
         return len(self._parent)
 
 
+def find_root(parent: List[int], node: int) -> int:
+    """Root of ``node`` in a list-based union-find forest, halving the path."""
+    while parent[node] != node:
+        parent[node] = parent[parent[node]]
+        node = parent[node]
+    return node
+
+
 def connected_components(
     nodes: Iterable[Node], edges: Iterable[tuple]
 ) -> List[List[Node]]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from operator import neg
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
+from ..graphs.components import find_root
 from .cnf import CnfFormula
 
 IntClause = FrozenSet[int]
@@ -109,10 +110,10 @@ class _Instance:
             elif not self.value[literals[0]]:
                 self._assign(literals[0])
             for literal in literals[1:]:
-                parent[_find(parent, abs(literal))] = _find(parent, abs(literals[0]))
+                parent[find_root(parent, abs(literal))] = find_root(parent, abs(literals[0]))
         members: Dict[int, List[int]] = {}
         for variable in range(1, len(self.names) + 1):
-            members.setdefault(_find(parent, variable), []).append(variable)
+            members.setdefault(find_root(parent, variable), []).append(variable)
         self.components = sorted(members.values(), key=len)
 
     def solve(self) -> bool:
@@ -204,14 +205,6 @@ class _Instance:
         self.head = head
         self.propagations += forced
         return not conflict
-
-
-def _find(parent: List[int], node: int) -> int:
-    """Union-find root of ``node``, halving the path on the way."""
-    while parent[node] != node:
-        parent[node] = parent[parent[node]]
-        node = parent[node]
-    return node
 
 
 def is_satisfiable(formula: CnfFormula) -> bool:

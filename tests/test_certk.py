@@ -28,6 +28,29 @@ def f(query, *values):
     return Fact(query.schema, values)
 
 
+FRESH = 1_000_000
+
+
+def escaped_core(query, shape, rng):
+    """``random_solution_database(query, *shape, rng)`` plus one *escape* fact
+    per block: its key with fresh values, so the all-escape repair falsifies
+    the query and the database is not certain."""
+    database = random_solution_database(query, *shape, rng)
+    width = query.schema.arity - query.schema.key_size
+    fresh = FRESH
+    for block in database.blocks():
+        database.add(Fact(query.schema, block.key_tuple + tuple(range(fresh, fresh + width))))
+        fresh += width
+    return database
+
+
+def gadget(query):
+    """Both atoms on fresh values, each alone in its block: every repair
+    satisfies the query."""
+    env = {v: 2 * FRESH + i for i, v in enumerate(sorted(query.variables))}
+    return [query.atom_a.instantiate(env), query.atom_b.instantiate(env)]
+
+
 class TestCertKBasics:
     def test_invalid_k(self, q3):
         with pytest.raises(ValueError):
@@ -156,20 +179,12 @@ class TestTheorem61BeyondNaiveSizes:
     sizes are far beyond :class:`NaiveCertK`.
     """
 
-    FRESH = 1_000_000
     SHAPES = {"q3": (80, 20, 50), "q4": (110, 20, 8)}
 
     def instance(self, query, shape, certain, rng):
-        database = random_solution_database(query, *shape, rng)
-        width = query.schema.arity - query.schema.key_size
-        fresh = self.FRESH
-        for block in database.blocks():
-            database.add(Fact(query.schema, block.key_tuple + tuple(range(fresh, fresh + width))))
-            fresh += width
+        database = escaped_core(query, shape, rng)
         if certain:
-            env = {v: 2 * self.FRESH + i for i, v in enumerate(sorted(query.variables))}
-            database.add(query.atom_a.instantiate(env))
-            database.add(query.atom_b.instantiate(env))
+            database.add_all(gadget(query))
         return database
 
     @pytest.mark.parametrize("name", ["q3", "q4"])
@@ -182,3 +197,34 @@ class TestTheorem61BeyondNaiveSizes:
         assert max(block.size for block in database.blocks()) > 1
         assert certain_exact(query, database) is certain
         assert cert_2(query, database) is certain
+
+
+class TestCertKEarlyExit:
+    """``CertK`` runs block components smallest first and stops at the first
+    certain one.
+
+    The instances are a non-certain core (see
+    :class:`TestTheorem61BeyondNaiveSizes`) with the gadget inserted at a
+    random position.  The gadget is a component of its own with one seed
+    pair, and it derives the empty set after two insertions; a one-seed core
+    component seen earlier may run first, at one insertion.  One worklist
+    over every component's seeds would process over a hundred insertions on
+    these instances before the empty set appears.
+    """
+
+    SHAPES = {"q3": (80, 20, 50), "q4": (110, 20, 8), "q5": (130, 30, 18), "q6": (130, 30, 18)}
+    K = {"q3": 2, "q4": 2, "q5": 3, "q6": 3}
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_certain_component_ends_the_run(self, name, seed):
+        query, k = paper_queries()[name], self.K[name]
+        rng = random.Random(seed)
+        core = escaped_core(query, self.SHAPES[name], rng)
+        assert not CertK(query, k).is_certain(core)
+        facts = core.facts()
+        at = rng.randrange(len(facts) + 1)
+        facts[at:at] = gadget(query)
+        result = CertK(query, k).run(Database(facts))
+        assert result.certain
+        assert result.iterations <= 3

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
     Atom,
+    CertainEngine,
     CertK,
     Database,
     Fact,
@@ -76,6 +77,20 @@ def paper_query_databases(draw):
 
 
 @st.composite
+def shifted_halves(draw):
+    """One of q1..q6, two small fact lists over its schema (the second on values
+    shifted by 10, so the two share no value) and an interleaving of both."""
+    query = paper_queries()[draw(st.sampled_from(("q1", "q2", "q3", "q4", "q5", "q6")))]
+    values = st.tuples(*[st.integers(0, 2)] * query.schema.arity)
+    left = [Fact(query.schema, row) for row in draw(st.lists(values, max_size=6))]
+    right = [
+        Fact(query.schema, tuple(value + 10 for value in row))
+        for row in draw(st.lists(values, max_size=6))
+    ]
+    return query, left, right, draw(st.permutations(left + right))
+
+
+@st.composite
 def paper_query_streams(draw):
     """A ``paper_query_databases`` draw plus a sequence of single-fact writes.
 
@@ -105,8 +120,8 @@ def apply_write(db, schema, write):
 
 
 @st.composite
-def random_query_streams(draw):
-    """A random two-atom query, a small database over {0, 1, 2} and writes.
+def random_query_databases(draw):
+    """A random two-atom query and a small database over {0, 1, 2}.
 
     Arity 1-4 and key size 0..arity; both atoms draw their variables from
     {x, y, z, u}, so repeats within an atom, repeats across the atoms and
@@ -118,9 +133,15 @@ def random_query_streams(draw):
     query = TwoAtomQuery(
         Atom(schema, tuple(draw(variables))), Atom(schema, tuple(draw(variables)))
     )
-    values = st.tuples(*[st.integers(0, 2)] * arity)
-    rows = draw(st.lists(values, max_size=6))
-    return query, Database(Fact(schema, row) for row in rows), draw(writes_over(values))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 2)] * arity), max_size=6))
+    return query, Database(Fact(schema, row) for row in rows)
+
+
+@st.composite
+def random_query_streams(draw):
+    """A ``random_query_databases`` draw plus single-fact writes."""
+    query, db = draw(random_query_databases())
+    return query, db, draw(writes_over(st.tuples(*[st.integers(0, 2)] * query.schema.arity)))
 
 
 @st.composite
@@ -230,6 +251,14 @@ class TestAlgorithmSoundness:
         query, db = case
         assert certain_exact(query, db) == certain_bruteforce(query, db)
 
+    @settings(_SETTINGS, max_examples=300)
+    @given(random_query_databases())
+    def test_engine_matches_bruteforce_on_random_queries(self, case):
+        # Beyond q1..q7: classification and dispatch on arbitrary query
+        # shapes, Cert_2 and Cert_k ∨ ¬matching included.
+        query, db = case
+        assert CertainEngine(query).is_certain(db) == certain_bruteforce(query, db)
+
 
 class TestCertKMatchesNaive:
     """The worklist ``Cert_k`` against the seed enumeration, on generated inputs."""
@@ -258,6 +287,19 @@ class TestCertKMatchesNaive:
         for write in writes:
             apply_write(db, query.schema, write)
             self.assert_same(runner, oracle, db)
+
+    @settings(_SETTINGS, max_examples=60)
+    @given(shifted_halves(), st.sampled_from((1, 2, 3)))
+    def test_disjoint_union_is_certain_iff_a_part_is(self, case, k):
+        # The atoms of q1..q6 share a variable, so no solution and no block
+        # spans the two value ranges: the union's block components are those
+        # of the parts (Proposition 10.6), and CertK runs them one at a time.
+        query, left, right, union = case
+        runner = CertK(query, k)
+        assert runner.is_certain(Database(union)) == (
+            runner.is_certain(Database(left)) or runner.is_certain(Database(right))
+        )
+        self.assert_same(runner, NaiveCertK(query, k), Database(union))
 
     @settings(_SETTINGS, max_examples=300)
     @given(random_query_streams())
