@@ -4,8 +4,9 @@ q6 admits triangle-tripaths but no fork-tripath; the paper proves that
 ``Cert_k(q) ∨ ¬matching(q)`` computes its certain answers (and, since q6 is a
 clique query, that ``¬matching`` alone is already exact — Theorem 10.4).  The
 experiment measures full agreement of both claims against the exact oracle on
-random workloads; the benchmarks time the matching algorithm and the combined
-engine.
+random workloads, and checks Proposition 10.3's other half: on every
+non-certain instance the saturating matching yields a falsifying repair.  The
+benchmarks time the matching algorithm and the combined engine.
 """
 
 import random
@@ -16,6 +17,8 @@ from repro import CertainEngine, MatchingAlgorithm, certain_by_matching, certain
 from repro.bench.harness import ExperimentReport, compare_with_oracle
 from repro.bench.reporting import emit
 from repro.bench.workloads import agreement_workload
+from repro.core.matching import witness_repair_from_matching
+from repro.db.fact_store import is_repair_of
 from repro.db.generators import random_solution_database
 from repro.fixtures import example_queries
 
@@ -33,11 +36,15 @@ def test_theorem105_agreement_report():
     combined = compare_with_oracle(Q6, engine.paper_polynomial_answer, workload)
     matching_only = compare_with_oracle(Q6, matcher.certain_by_negation, workload)
     clique_instances = sum(1 for db in workload if matcher.is_clique_database(db))
-    certain_instances = sum(1 for db in workload if certain_exact(Q6, db))
+    negatives = [db for db in workload if not certain_exact(Q6, db)]
+    certain_instances = len(workload) - len(negatives)
+    repairs = [(db, witness_repair_from_matching(Q6, db)) for db in negatives]
+    certified = sum(1 for _, repair in repairs if repair is not None)
 
     report = ExperimentReport(
         "Experiment E (Theorems 10.4/10.5) — combined algorithm on q6",
-        ["algorithm", "instances", "certain", "clique DBs", "agreement", "false neg", "false pos"],
+        ["algorithm", "instances", "certain", "clique DBs", "agreement", "false neg", "false pos",
+         "repair-certified negatives"],
     )
     report.add(algorithm="Cert_3 ∨ ¬matching (Thm 10.5)", instances=combined.total,
                certain=certain_instances, **{"clique DBs": clique_instances},
@@ -48,11 +55,20 @@ def test_theorem105_agreement_report():
                agreement=f"{matching_only.agreement_rate:.0%}",
                **{"false neg": matching_only.false_negatives,
                   "false pos": matching_only.false_positives})
+    report.add(algorithm="matching repair (Prop 10.3)", instances=len(workload),
+               certain=certain_instances, **{"clique DBs": clique_instances,
+                                             "repair-certified negatives":
+                                             f"{certified}/{len(negatives)}"})
     emit(report)
 
     assert combined.agreement_rate == 1.0
     assert matching_only.agreement_rate == 1.0
     assert clique_instances == len(workload)
+    # q6 is a clique query, so Proposition 10.3 certifies every negative.
+    assert certified == len(negatives)
+    for db, repair in repairs:
+        assert is_repair_of(list(repair), db)
+        assert not Q6.satisfied_by(repair)
 
 
 @pytest.mark.benchmark(group="theorem105")

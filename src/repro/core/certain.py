@@ -8,9 +8,12 @@ Three exact ways of deciding ``certain(q)`` are provided:
   encoding of :mod:`repro.logic.encode` (exact, scales much further);
 * :class:`CertainEngine` — the production entry point: it classifies the
   query once (Sections 3–10) and then dispatches every database to the
-  cheapest *sound and complete* procedure for that class, falling back to
-  the SAT oracle only where the paper's polynomial algorithms require the
-  impractically large theoretical constant ``k`` (see DESIGN.md §5).
+  cheapest *sound and complete* procedure for that class.  On the
+  ``Cert_k ∨ ¬matching`` classes it runs ``Cert_k``, then ``¬matching``,
+  then Proposition 10.3's repair read off the matching, and falls back to
+  the SAT oracle only when none of them settles the answer: the paper's
+  polynomial algorithms need the impractically large theoretical constant
+  ``k`` to be complete (see DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -100,8 +103,8 @@ class EngineReport:
     ``witness`` is populated only when the caller asked for one (see
     :meth:`CertainEngine.explain` with ``want_witness=True``) and the answer
     is negative: it is a falsifying repair of the database, produced inline
-    by the same SAT solve that decided the answer whenever the deciding
-    algorithm was the SAT oracle — not recomputed out-of-band.
+    by whatever decided the answer — the matching's repair or the deciding
+    SAT solve — not recomputed out-of-band.
     """
 
     certain: bool
@@ -119,11 +122,13 @@ class CertainEngine:
     * Theorem 6.1 queries   → ``Cert_2(q)`` (complete by the theorem);
     * coNP-complete queries → the exact SAT oracle;
     * remaining PTime cases → ``Cert_k(q) ∨ ¬matching(q)`` (Theorems 8.1 and
-      10.5) with a practical ``k``; because the theoretical ``k`` of
+      10.5) with a practical ``k``.  Because the theoretical ``k`` of
       Proposition 8.2 is astronomically large, a *negative* answer of the
-      combined polynomial algorithms is confirmed with the exact SAT oracle
-      unless ``strict_polynomial`` is set, in which case the paper's
-      algorithm answer is returned as-is.
+      combined polynomial algorithms is confirmed: first by the repair
+      Proposition 10.3 reads off the saturating matching, checked to
+      falsify ``q``, and only when that repair satisfies ``q`` by the exact
+      SAT oracle.  With ``strict_polynomial`` set and no witness asked for,
+      neither runs and the paper's algorithm answer is returned as-is.
     """
 
     def __init__(
@@ -166,14 +171,16 @@ class CertainEngine:
         """Answer ``certain(q)`` and report which algorithm produced the answer.
 
         With ``want_witness`` a negative answer also carries a falsifying
-        repair in :attr:`EngineReport.witness`.  On the SAT-oracle paths the
-        witness is extracted from the same solve that decided the answer;
-        on the polynomial paths it is produced by one extra SAT solve.  In
-        ``strict_polynomial`` mode that solve settles the inexact negative
-        either way: a witness found upgrades the report to an exact
-        ``False`` (the repair is a concrete certificate of non-certainty),
-        and no witness existing overturns it to an exact ``True`` — the
-        solve proved the paper-algorithm answer was a false negative.
+        repair in :attr:`EngineReport.witness`.  A negative decided by the
+        matching's repair carries that repair; on the SAT-oracle paths the
+        witness is extracted from the same solve that decided the answer.
+        Only a ``strict_polynomial`` negative the repair does not certify
+        pays one extra SAT solve, which settles it either way: a witness
+        found upgrades the report to an exact ``False`` (the repair is a
+        concrete certificate of non-certainty), and no witness existing
+        overturns it to an exact ``True`` — the solve proved the
+        paper-algorithm answer was a false negative.  Without
+        ``want_witness`` a report carries no witness.
         """
         method = self.classification.method
         methods = self._method_enum
@@ -192,19 +199,8 @@ class CertainEngine:
             report = EngineReport(True, f"Cert_{self.practical_k}", True)
         elif self._matching.certain_by_negation(database):
             report = EngineReport(True, "¬matching (Proposition 10.2)", True)
-        elif self.strict_polynomial:
-            report = EngineReport(
-                False,
-                f"Cert_{self.practical_k} ∨ ¬matching (paper algorithm, k below the "
-                "theoretical bound)",
-                False,
-            )
         else:
-            report = self._explain_via_sat(
-                database,
-                "SAT oracle (confirming a negative polynomial-algorithm answer)",
-                want_witness,
-            )
+            report = self._explain_polynomial_negative(database, want_witness)
         if want_witness and not report.certain and report.witness is None:
             witness = find_falsifying_repair(self.query, database)
             if witness is not None:
@@ -217,6 +213,33 @@ class CertainEngine:
                     True, f"{report.algorithm}; overturned by the witness SAT solve", True
                 )
         return report
+
+    def _explain_polynomial_negative(
+        self, database: Database, want_witness: bool
+    ) -> EngineReport:
+        """A negative ``Cert_k ∨ ¬matching`` answer: the matching's repair, then SAT
+        (neither under ``strict_polynomial`` without ``want_witness``)."""
+        if want_witness or not self.strict_polynomial:
+            witness = self._matching.witness_repair(database)
+            if witness is not None:
+                return EngineReport(
+                    False,
+                    "matching repair (Proposition 10.3)",
+                    True,
+                    witness if want_witness else None,
+                )
+        if self.strict_polynomial:
+            return EngineReport(
+                False,
+                f"Cert_{self.practical_k} ∨ ¬matching (paper algorithm, k below the "
+                "theoretical bound)",
+                False,
+            )
+        return self._explain_via_sat(
+            database,
+            "SAT oracle (confirming a negative polynomial-algorithm answer)",
+            want_witness,
+        )
 
     def _explain_via_sat(
         self, database: Database, algorithm: str, want_witness: bool

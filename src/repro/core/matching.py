@@ -16,16 +16,20 @@ bipartite graph ``H(D, q)``:
 combination ``Cert_k(q) ∨ ¬matching(q)`` solves every 2way-determined query
 with no fork-tripath (Theorem 10.5).
 
-Since PR 6 the matching is a first-class delta-maintained derived structure:
+The matching is a first-class delta-maintained derived structure:
 :class:`MatchingState` bundles ``H(D, q)`` with an
 :class:`~repro.graphs.bipartite.IncrementalMatching`, and
-:class:`BipartiteGraphMaintainer` splices fact deltas into both by consuming
-the already-maintained solution graph — a fact add/remove reconciles only
-the affected component(s), flips clique ↔ singleton right vertices when a
-component gains or loses quasi-clique status, and repairs the matching by
-augmenting paths instead of rerunning Hopcroft–Karp.  Every consumer
-(:meth:`MatchingAlgorithm.run`, ``certain_by_negation``, the engine's PTime
-path, the repair-sampling oracle) reads through the database cache under
+:class:`BipartiteGraphMaintainer` derives both from the already-maintained
+solution graph.  The build and every fact delta run the same code: a
+breadth-first search reads one component off the graph, a linear degree
+count decides whether it is a quasi-clique, and its facts are assigned
+their cliques.  The build walks each component once; a fact add/remove
+reconciles only the affected component(s), flips clique ↔ singleton right
+vertices when a component gains or loses quasi-clique status, and repairs
+the matching by augmenting paths instead of rerunning Hopcroft–Karp.  Every
+consumer (:meth:`MatchingAlgorithm.run`, ``certain_by_negation``,
+:meth:`MatchingAlgorithm.witness_repair`, the engine's PTime path, the
+repair-sampling oracle) reads through the database cache under
 :func:`matching_cache_key`, so a server absorbing a delta stream never
 rebuilds the matching on the hot path.
 """
@@ -144,18 +148,19 @@ class BipartiteGraphMaintainer:
     # cache builder
     # ------------------------------------------------------------------ #
     def build(self, database: Database) -> MatchingState:
+        """``H(D, q)`` in one pass over the solution graph's components.
+
+        Each component is found by the search a delta replay runs and
+        assigned by the same :meth:`_reassign_component`, so a build is
+        exactly the replay of every component at once.
+        """
         graph = build_solution_graph(self.query, database)
         state = MatchingState()
         for block in database.blocks():
             state.bipartite.add_left(block.block_id)
-        cliques = graph.clique_map()
-        for component in graph.components():
-            token = state.new_component()
-            state.members[token] = set(component)
-            for member in component:
-                state.component_of[member] = token
         for fact in graph.facts:
-            self._assign(state, fact, cliques[fact], fact in graph.self_loops)
+            if fact not in state.component_of:
+                self._reassign_component(graph, state, self._component_of(graph, fact))
         return state
 
     # ------------------------------------------------------------------ #
@@ -201,35 +206,6 @@ class BipartiteGraphMaintainer:
                     queue.append(other)
         return component
 
-    @staticmethod
-    def _is_quasi_clique(graph: SolutionGraph, component: Set[Fact]) -> bool:
-        """Section 10.1's quasi-clique test, in ``O(|C| + E_C)``.
-
-        Every pair of non-key-equal members must be an edge; since a
-        component's edges stay inside it, that holds iff every member's
-        count of non-key-equal neighbours equals the number of non-key-equal
-        members — no pairwise sweep needed.
-        """
-        total = len(component)
-        if total <= 1:
-            return True
-        block_counts: Dict[BlockId, int] = {}
-        for member in component:
-            block_id = member.block_id()
-            block_counts[block_id] = block_counts.get(block_id, 0) + 1
-        for member in component:
-            required = total - block_counts[member.block_id()]
-            if required == 0:
-                continue
-            linked = sum(
-                1
-                for other in graph.edges.get(member, ())
-                if other.block_id() != member.block_id()
-            )
-            if linked != required:
-                return False
-        return True
-
     def _reassign_component(
         self, graph: SolutionGraph, state: MatchingState, component: Set[Fact]
     ) -> None:
@@ -244,7 +220,7 @@ class BipartiteGraphMaintainer:
                         del state.members[old]
             state.component_of[member] = token
         state.members[token] = set(component)
-        if self._is_quasi_clique(graph, component):
+        if graph.is_quasi_clique(component):
             clique = frozenset(component)
             for member in component:
                 self._assign(state, member, clique, member in graph.self_loops)
@@ -364,8 +340,7 @@ class MatchingAlgorithm:
         ``H(D, q)`` rebuild.
         """
         if graph is not None:
-            cliques = self._cliques(graph)
-            bipartite = self._build_bipartite(database, graph, cliques)
+            bipartite = self._build_bipartite(database, graph, graph.clique_map())
             matching = maximum_matching(bipartite)
             saturating = len(matching) == database.block_count()
             return MatchingResult(
@@ -407,18 +382,44 @@ class MatchingAlgorithm:
         """Whether every component of ``G(D, q)`` is a quasi-clique."""
         return build_solution_graph(self.query, database).is_clique_database()
 
+    def witness_repair(self, database: Database) -> Optional[Repair]:
+        """Proposition 10.3's falsifying repair, read off the maintained matching.
+
+        If the matching saturates ``V1``, take from each block the first fact
+        of its matched clique with no self-solution.  On a clique-database
+        that repair falsifies ``q``: two chosen facts in one solution would
+        share a component, hence a clique matched to two blocks.  Elsewhere
+        two chosen singletons may form a solution, so the repair is returned
+        only once ``q.satisfied_by`` confirms it falsifies ``q``; a returned
+        repair therefore certifies non-certainty on any database.  The
+        engine calls this right after ``certain_by_negation``, on the state
+        that call has just repaired.
+        """
+        state = self.state(database)
+        state.matching.repair()
+        matched = state.matching.match_left
+        if len(matched) != database.block_count():
+            return None
+        self_loops = build_solution_graph(self.query, database).self_loops
+        chosen: List[Fact] = []
+        for block in database.blocks():
+            clique = matched.get(block.block_id)
+            if clique is None:
+                return None
+            for fact in block.facts:
+                if fact in clique and fact not in self_loops:
+                    chosen.append(fact)
+                    break
+            else:
+                return None
+        repair = Repair(tuple(chosen))
+        if self.query.satisfied_by(repair):
+            return None
+        return repair
+
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
-    def _cliques(self, graph: SolutionGraph) -> Dict[Fact, FrozenSet[Fact]]:
-        """The paper's ``clique(a)`` for every fact.
-
-        Read from the graph's memoised clique map, which consumes graph
-        deltas (additions extend the component union-find incrementally)
-        instead of re-deriving the decomposition on every matching run.
-        """
-        return graph.clique_map()
-
     def _build_bipartite(
         self,
         database: Database,
@@ -451,33 +452,11 @@ def certain_by_matching(query: TwoAtomQuery, database: Database) -> bool:
 def witness_repair_from_matching(
     query: TwoAtomQuery, database: Database
 ) -> Optional[Repair]:
-    """Try to extract a falsifying repair from a saturating matching.
+    """:meth:`MatchingAlgorithm.witness_repair` for a one-off call.
 
-    On a clique-database for ``q`` a saturating matching assigns to every
-    block a clique from which its fact is picked; choosing, for each block,
-    a fact of the matched clique with no self-solution yields a repair with
-    no solution *provided* the database is a clique-database (the argument of
-    Proposition 10.3).  For other databases the function may return ``None``
-    even when a falsifying repair exists.
+    The engine runs that step on the ``Cert_k ∨ ¬matching`` path before any
+    SAT solve.  Its ``q.satisfied_by`` check makes a returned repair a
+    certificate of non-certainty on any database; ``None`` means "certain"
+    only on a clique-database (Proposition 10.3).
     """
-    runner = MatchingAlgorithm(query)
-    result = runner.run(database)
-    if not result.has_saturating_matching:
-        return None
-    chosen: List[Fact] = []
-    for block in database.blocks():
-        clique = result.matching.get(block.block_id)
-        if clique is None:
-            return None
-        candidates = [
-            fact
-            for fact in block.facts
-            if fact in clique and not query.is_self_solution(fact)
-        ]
-        if not candidates:
-            return None
-        chosen.append(candidates[0])
-    repair = Repair(tuple(chosen))
-    if query.satisfied_by(repair):
-        return None
-    return repair
+    return MatchingAlgorithm(query).witness_repair(database)

@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..db.fact_store import Database
+from ..db.fact_store import BlockId, Database
 from ..eval.deltas import DeltaUnsupported, FactDelta, graph_maintainer
-from ..graphs.components import UnionFind
+from ..graphs.components import UnionFind, connected_components
 from .query import TwoAtomQuery
 from .terms import Fact
+
+_NO_FACTS: FrozenSet[Fact] = frozenset()
 
 
 @dataclass
@@ -31,30 +33,25 @@ class SolutionGraph:
 
     The graph is a live view when cached on a database: fact deltas are
     spliced in by :class:`~repro.eval.deltas.SolutionGraphMaintainer` (see
-    :meth:`apply_delta`), and the memoised component/clique decompositions
-    consume those deltas too — edge additions extend the union-find
-    incrementally, removals fall back to a lazy recompute.
+    :meth:`apply_delta`).  The graph keeps no decomposition of its own:
+    :meth:`components` and :meth:`clique_map` are computed on demand, and
+    the maintained partition the answer path reads is the matching's (see
+    :class:`~repro.core.matching.BipartiteGraphMaintainer`).
     """
 
     facts: Dict[Fact, None]
     edges: Dict[Fact, Set[Fact]] = field(default_factory=dict)
     directed: Set[Tuple[Fact, Fact]] = field(default_factory=set)
     self_loops: Set[Fact] = field(default_factory=set)
-    _component_uf: Optional[UnionFind] = field(
-        default=None, repr=False, compare=False
-    )
-    _clique_map: Optional[Dict[Fact, FrozenSet[Fact]]] = field(
-        default=None, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------ #
     # queries on the graph
     # ------------------------------------------------------------------ #
     def neighbours(self, fact: Fact) -> Set[Fact]:
-        return set(self.edges.get(fact, set()))
+        return set(self.edges.get(fact, _NO_FACTS))
 
     def has_edge(self, first: Fact, second: Fact) -> bool:
-        return second in self.edges.get(first, set())
+        return second in self.edges.get(first, _NO_FACTS)
 
     def has_directed(self, first: Fact, second: Fact) -> bool:
         return (first, second) in self.directed
@@ -63,60 +60,58 @@ class SolutionGraph:
         return sum(len(adjacent) for adjacent in self.edges.values()) // 2
 
     def components(self) -> List[List[Fact]]:
-        """Connected components of the undirected graph (isolated facts included).
-
-        The underlying union-find is memoised and maintained across fact
-        additions (deltas union the new edges in); removals invalidate it.
-        """
-        if self._component_uf is None:
-            union_find: UnionFind[Fact] = UnionFind(self.facts)
-            for fact, adjacent in self.edges.items():
-                for other in adjacent:
-                    union_find.union(fact, other)
-            self._component_uf = union_find
-        return self._component_uf.components()
+        """Connected components of the undirected graph (isolated facts included)."""
+        return connected_components(
+            self.facts,
+            ((fact, other) for fact, adjacent in self.edges.items() for other in adjacent),
+        )
 
     def is_quasi_clique(self, component: Iterable[Fact]) -> bool:
-        """Quasi-clique test of Section 10.1.
+        """Quasi-clique test of Section 10.1, in ``O(|C| + edges of C)``.
 
-        A connected component ``C`` is a quasi-clique when every pair of
-        facts of ``C`` that are *not* key-equal is joined by an edge.
+        ``C`` is a quasi-clique when every pair of its facts that are *not*
+        key-equal is joined by an edge.  That holds iff every member has as
+        many neighbours in ``C`` outside its own block as ``C`` has members
+        outside that block: a degree count, no pairwise sweep.  Only
+        neighbours inside ``C`` count, so any fact collection can be tested,
+        not just a whole component.
         """
-        members = list(component)
-        for index, first in enumerate(members):
-            for second in members[index + 1:]:
-                if first.key_equal(second):
-                    continue
-                if not self.has_edge(first, second):
+        members = component if isinstance(component, (set, frozenset)) else set(component)
+        total = len(members)
+        if total <= 1:
+            return True
+        blocks: Dict[BlockId, Set[Fact]] = {}
+        for member in members:
+            blocks.setdefault(member.block_id(), set()).add(member)
+        edges = self.edges
+        for block in blocks.values():
+            required = total - len(block)
+            for member in block:
+                adjacent = edges.get(member, _NO_FACTS)
+                if len(adjacent & members) - len(adjacent & block) != required:
                     return False
         return True
-
-    def quasi_clique_components(self) -> List[List[Fact]]:
-        return [component for component in self.components() if self.is_quasi_clique(component)]
 
     def is_clique_database(self) -> bool:
         """Whether every connected component is a quasi-clique (Section 10.1)."""
         return all(self.is_quasi_clique(component) for component in self.components())
 
     def clique_map(self) -> Dict[Fact, FrozenSet[Fact]]:
-        """The paper's ``clique(a)`` for every fact, memoised.
+        """The paper's ``clique(a)`` for every fact.
 
         Computed component-wise: facts of a quasi-clique component map to the
-        whole component, all other facts to their singleton.  The memo is
-        invalidated by any delta that changes the edge structure.
+        whole component, all other facts to their singleton.
         """
-        if self._clique_map is None:
-            cliques: Dict[Fact, FrozenSet[Fact]] = {}
-            for component in self.components():
-                if self.is_quasi_clique(component):
-                    frozen = frozenset(component)
-                    for member in component:
-                        cliques[member] = frozen
-                else:
-                    for member in component:
-                        cliques[member] = frozenset((member,))
-            self._clique_map = cliques
-        return self._clique_map
+        cliques: Dict[Fact, FrozenSet[Fact]] = {}
+        for component in self.components():
+            if self.is_quasi_clique(component):
+                frozen = frozenset(component)
+                for member in component:
+                    cliques[member] = frozen
+            else:
+                for member in component:
+                    cliques[member] = frozenset((member,))
+        return cliques
 
     def clique_of(self, fact: Fact) -> FrozenSet[Fact]:
         """The paper's ``clique(a)``.
@@ -130,7 +125,7 @@ class SolutionGraph:
         return clique
 
     # ------------------------------------------------------------------ #
-    # delta plumbing (called by SolutionGraphMaintainer)
+    # delta plumbing
     # ------------------------------------------------------------------ #
     def apply_delta(self, query: TwoAtomQuery, database: Database, delta: FactDelta) -> None:
         """Splice one fact delta into the graph (see :mod:`repro.eval.deltas`).
@@ -139,26 +134,6 @@ class SolutionGraph:
         database's cache; the cached copy is maintained automatically.
         """
         graph_maintainer(query)(database, self, delta)
-
-    def _note_fact_added(self, fact: Fact, new_edges: List[Tuple[Fact, Fact]]) -> None:
-        """Consume an add delta in the memoised decompositions."""
-        if self._component_uf is not None:
-            self._component_uf.add(fact)
-            for first, second in new_edges:
-                self._component_uf.add(first)
-                self._component_uf.add(second)
-                self._component_uf.union(first, second)
-        if self._clique_map is not None:
-            if new_edges:
-                # New edges can merge components or break quasi-cliqueness.
-                self._clique_map = None
-            else:
-                self._clique_map[fact] = frozenset((fact,))
-
-    def _note_fact_removed(self, fact: Fact) -> None:
-        """Consume a remove delta: splits force a lazy recompute."""
-        self._component_uf = None
-        self._clique_map = None
 
 
 def solution_graph_cache_key(query: TwoAtomQuery) -> Tuple[str, TwoAtomQuery]:

@@ -143,7 +143,6 @@ class SolutionGraphMaintainer:
     def _apply_add(self, database: "Database", graph: "SolutionGraph", fact: Fact) -> None:
         graph.facts[fact] = None
         graph.edges.setdefault(fact, set())
-        new_edges: List[Tuple[Fact, Fact]] = []
         for first, second in self.pairs_of(database, fact):
             graph.directed.add((first, second))
             if first == second:
@@ -153,8 +152,6 @@ class SolutionGraphMaintainer:
                 # own adjacency entry yet; setdefault keeps the splice safe.
                 graph.edges.setdefault(first, set()).add(second)
                 graph.edges.setdefault(second, set()).add(first)
-                new_edges.append((first, second))
-        graph._note_fact_added(fact, new_edges)
 
     def _apply_remove(self, graph: "SolutionGraph", fact: Fact) -> None:
         # Validate before touching anything: a failed replay must leave the
@@ -170,7 +167,6 @@ class SolutionGraphMaintainer:
         graph.directed.discard((fact, fact))
         graph.self_loops.discard(fact)
         graph.facts.pop(fact, None)
-        graph._note_fact_removed(fact)
 
 
 # --------------------------------------------------------------------------- #

@@ -13,8 +13,8 @@ where the SAT term is weighted by the *classification* — a coNP-complete
 query pays one solver call per database (Theorem 9.1's reduction is the
 lower bound that makes this unavoidable), the Theorem 6.1 / one-atom classes
 pay none, and the remaining PTime classes pay the calibrated fallback
-fraction (the engine confirms negative ``Cert_k ∨ ¬matching`` answers with
-one exact solve unless ``strict_polynomial`` is set).
+fraction (the engine confirms a negative ``Cert_k ∨ ¬matching`` answer with
+one exact solve when the matching's repair does not certify it).
 
 The calibrated constants are committed next to the benchmarks as
 ``benchmarks/COST_MODEL.json`` (regenerated by

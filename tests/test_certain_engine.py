@@ -4,21 +4,43 @@ import random
 
 import pytest
 
+import repro.core.certain
 from repro import (
     CertainEngine,
     Database,
     Fact,
+    MatchingAlgorithm,
     certain_bruteforce,
     certain_exact,
     certain_trivial,
     find_falsifying_repair,
     parse_query,
 )
+from repro.db.fact_store import is_repair_of
 from repro.db.generators import random_solution_database
+
+REPAIR_LABEL = "matching repair (Proposition 10.3)"
+SAT_LABEL = "SAT oracle (confirming a negative polynomial-algorithm answer)"
 
 
 def f(query, *values):
     return Fact(query.schema, values)
+
+
+def escaped_core(query, shape, rng):
+    """``random_solution_database(query, *shape, rng)`` plus one escape fact per
+    block (its key with fresh values), so the database is not certain."""
+    database = random_solution_database(query, *shape, rng)
+    width = query.schema.arity - query.schema.key_size
+    for number, block in enumerate(database.blocks()):
+        fresh = 1_000_000 + number * width
+        database.add(Fact(query.schema, block.key_tuple + tuple(range(fresh, fresh + width))))
+    return database
+
+
+def assert_falsifying_repair(query, database, witness):
+    assert is_repair_of(list(witness), database)
+    assert not query.satisfied_by(witness)
 
 
 class TestBruteForceOracle:
@@ -145,10 +167,20 @@ class TestCertainEngine:
         for seed in range(10):
             db = random_solution_database(query, 4, 2, 3, random.Random(seed))
             report = engine.explain(db)
-            if not report.certain and not report.exact:
-                assert "paper algorithm" in report.algorithm
-                return
-        # Every sampled database was answered exactly, which is also fine.
+            if not report.certain:
+                break
+        else:
+            pytest.fail("no negative among the sampled databases")
+        # Without a witness request a strict negative does the paper
+        # algorithm's work only, and says it is inexact.
+        assert not report.exact and "paper algorithm" in report.algorithm
+        assert report.witness is None
+        # With one, the matching's repair certifies it (q6 is a clique query).
+        witnessed = engine.explain(db, want_witness=True)
+        assert (witnessed.certain, witnessed.exact, witnessed.algorithm) == (
+            False, True, REPAIR_LABEL
+        )
+        assert_falsifying_repair(query, db, witnessed.witness)
 
     def test_engine_accepts_precomputed_classification(self, queries):
         from repro import classify
@@ -156,3 +188,60 @@ class TestCertainEngine:
         result = classify(queries["q3"])
         engine = CertainEngine(queries["q3"], classification=result)
         assert engine.classification is result
+
+
+class TestMatchingRepairLeg:
+    """Negative ``Cert_k ∨ ¬matching`` answers: the matching's repair, then SAT."""
+
+    @pytest.fixture
+    def no_sat(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the SAT leg ran")
+
+        monkeypatch.setattr(repro.core.certain, "certain_exact", refuse)
+        monkeypatch.setattr(repro.core.certain, "find_falsifying_repair", refuse)
+
+    @pytest.mark.parametrize("name", ["q5", "q6"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_escaped_core_negative_is_certified_without_sat(
+        self, queries, no_sat, name, seed, strict
+    ):
+        query = queries[name]
+        db = escaped_core(query, (6, 3, 5), random.Random(seed))
+        # On a clique-database every saturating matching's repair falsifies
+        # the query (Proposition 10.3), whichever matching is found.
+        assert MatchingAlgorithm(query).is_clique_database(db)
+        engine = CertainEngine(query, strict_polynomial=strict)
+        witnessed = engine.explain(db, want_witness=True)
+        assert (witnessed.certain, witnessed.exact, witnessed.algorithm) == (
+            False, True, REPAIR_LABEL
+        )
+        assert_falsifying_repair(query, db, witnessed.witness)
+        plain = engine.explain(db)
+        assert plain.witness is None and not plain.certain
+        if strict:  # no witness asked for: the paper algorithm's answer only
+            assert not plain.exact and "paper algorithm" in plain.algorithm
+        else:
+            assert (plain.exact, plain.algorithm) == (True, REPAIR_LABEL)
+
+    def test_repair_that_satisfies_the_query_falls_through_to_sat(self, queries):
+        # q5 gadgets (x|y,x) (x|y,5) (y|x,y) (y|x,6): one component, not a
+        # quasi-clique, so each block picks one of two singleton cliques in
+        # hash order.  Only (x|y,5) with (y|x,6) is a falsifying pick; a
+        # (x|y,x) or (y|x,y) pick forms a solution.  All 20 gadgets pick
+        # falsifyingly with probability 4**-20, so the repair satisfies q5.
+        query = queries["q5"]
+        rows = []
+        for gadget in range(20):
+            x, y = 10 * gadget + 1, 10 * gadget + 2
+            rows += [(x, y, x), (x, y, 5), (y, x, y), (y, x, 6)]
+        db = Database(f(query, *row) for row in rows)
+        engine = CertainEngine(query)
+        assert not engine._matching.certain_by_negation(db)
+        assert engine._matching.witness_repair(db) is None
+        report = engine.explain(db)
+        assert (report.certain, report.exact, report.algorithm) == (False, True, SAT_LABEL)
+        witnessed = engine.explain(db, want_witness=True)
+        assert witnessed.algorithm == SAT_LABEL
+        assert_falsifying_repair(query, db, witnessed.witness)

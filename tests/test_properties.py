@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on the core invariants of the paper."""
 
+import itertools
 import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,10 +21,13 @@ from repro import (
     certain_bruteforce,
     certain_by_matching,
     certain_exact,
+    classify,
     paper_queries,
     parse_query,
 )
 from repro.core.branching import branching_triples, g_elements
+from repro.core.classification import Method
+from repro.core.solutions import solution_graph_from_pairs
 from repro.db.fact_store import is_repair_of
 from repro.db.repairs import iter_repairs
 from repro.logic.cnf import parse_dimacs_like, random_restricted_three_sat, random_three_sat
@@ -67,10 +71,30 @@ q6_rows = st.lists(
 )
 
 
+#: Every query of the ``Cert_k ∨ ¬matching`` classes (Theorems 8.1 and 10.5)
+#: with arity 2 or 3 and variables from {x, y, z}, all key sizes tried.
+MATCHING_CLASS_QUERIES = [
+    query
+    for arity in (2, 3)
+    for key_size in range(arity + 1)
+    for query in (
+        TwoAtomQuery(
+            Atom(RelationSchema("R", arity, key_size), first),
+            Atom(RelationSchema("R", arity, key_size), second),
+        )
+        for first in itertools.product("xyz", repeat=arity)
+        for second in itertools.product("xyz", repeat=arity)
+    )
+    if classify(query).method in (Method.NO_TRIPATH, Method.TRIANGLE_ONLY)
+]
+
+REPAIR_LABEL = "matching repair (Proposition 10.3)"
+
+
 @st.composite
-def paper_query_databases(draw):
-    """One of q1..q6 with a small database over its schema."""
-    query = paper_queries()[draw(st.sampled_from(("q1", "q2", "q3", "q4", "q5", "q6")))]
+def paper_query_databases(draw, names=("q1", "q2", "q3", "q4", "q5", "q6")):
+    """One of ``names`` (q1..q6 by default) with a small database over its schema."""
+    query = paper_queries()[draw(st.sampled_from(names))]
     values = st.tuples(*[st.integers(0, 2)] * query.schema.arity)
     rows = draw(st.lists(values, min_size=0, max_size=7))
     return query, Database(Fact(query.schema, row) for row in rows)
@@ -91,14 +115,14 @@ def shifted_halves(draw):
 
 
 @st.composite
-def paper_query_streams(draw):
+def paper_query_streams(draw, names=("q1", "q2", "q3", "q4", "q5", "q6")):
     """A ``paper_query_databases`` draw plus a sequence of single-fact writes.
 
     A write is ``("add", row)`` or ``("remove", index)``; a removal takes the
     fact at ``index`` (modulo the size) of the database at that point, so it
     always hits when the database is not empty.
     """
-    query, db = draw(paper_query_databases())
+    query, db = draw(paper_query_databases(names))
     values = st.tuples(*[st.integers(0, 2)] * query.schema.arity)
     return query, db, draw(writes_over(values))
 
@@ -142,6 +166,49 @@ def random_query_streams(draw):
     """A ``random_query_databases`` draw plus single-fact writes."""
     query, db = draw(random_query_databases())
     return query, db, draw(writes_over(st.tuples(*[st.integers(0, 2)] * query.schema.arity)))
+
+
+@st.composite
+def solution_streams(draw, queries):
+    """One of ``queries``, a database of random solutions ``μ(A), μ(B)`` over
+    {0, 1, 2} plus a few random facts, and single-fact writes.
+
+    Seeding with solutions makes the solution graph dense enough that
+    saturating matchings on non-clique databases, whose repair may satisfy
+    the query, turn up often.
+    """
+    query = draw(st.sampled_from(queries))
+    assignment = st.fixed_dictionaries(
+        {name: st.integers(0, 2) for name in sorted(query.variables)}
+    )
+    rows = st.one_of(
+        st.tuples(*[st.integers(0, 2)] * query.schema.arity),
+        st.builds(lambda atom, mu: atom.instantiate(mu).values,
+                  st.sampled_from((query.atom_a, query.atom_b)), assignment),
+    )
+    facts = [
+        atom.instantiate(mu)
+        for mu in draw(st.lists(assignment, max_size=5))
+        for atom in (query.atom_a, query.atom_b)
+    ]
+    facts += [Fact(query.schema, row) for row in draw(st.lists(rows, max_size=3))]
+    return query, Database(facts), draw(writes_over(rows))
+
+
+@st.composite
+def fact_graphs(draw):
+    """Arbitrary undirected graphs over facts of ``R(x|y)``: random edges (some
+    inside a block, some self-loops), optionally every edge among a drawn
+    subset; plus one more drawn subset of the facts, repeats allowed."""
+    schema = RelationSchema("R", 2, 1)
+    rows = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                         max_size=9, unique=True))
+    facts = [Fact(schema, row) for row in rows]
+    fact_lists = st.lists(st.sampled_from(facts), max_size=len(facts))
+    dense = draw(fact_lists)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(facts), st.sampled_from(facts)), max_size=15))
+    pairs += list(itertools.combinations(dense, 2))
+    return solution_graph_from_pairs(facts, pairs), dense, draw(fact_lists)
 
 
 @st.composite
@@ -208,6 +275,25 @@ class TestSolutionGraphInvariants:
         facts_in_components = [fact for component in graph.components() for fact in component]
         assert sorted(map(str, facts_in_components)) == sorted(map(str, db.facts()))
 
+    @settings(_SETTINGS, max_examples=200)
+    @given(fact_graphs())
+    def test_quasi_clique_matches_the_pairwise_definition(self, case):
+        # Section 10.1, pair by pair: every two members that are not
+        # key-equal are joined by an edge.
+        graph, dense, subset = case
+
+        def pairwise(members):
+            return all(
+                first.key_equal(second) or graph.has_edge(first, second)
+                for first, second in itertools.combinations(members, 2)
+            )
+
+        components = graph.components()
+        for members in components + [dense, subset]:
+            assert graph.is_quasi_clique(members) == pairwise(members)
+            assert graph.is_quasi_clique(set(members)) == pairwise(members)
+        assert graph.is_clique_database() == all(map(pairwise, components))
+
     @_SETTINGS
     @given(q2_rows)
     def test_g_is_subset_of_centre_key(self, rows):
@@ -258,6 +344,39 @@ class TestAlgorithmSoundness:
         # shapes, Cert_2 and Cert_k ∨ ¬matching included.
         query, db = case
         assert CertainEngine(query).is_certain(db) == certain_bruteforce(query, db)
+
+    @settings(_SETTINGS, max_examples=300)
+    @given(
+        st.one_of(
+            paper_query_streams(("q5", "q6")),
+            solution_streams([paper_queries()["q5"], Q6]),
+            solution_streams(MATCHING_CLASS_QUERIES),
+        )
+    )
+    def test_matching_repair_is_sound_after_every_write(self, case):
+        # One engine and one database across the stream, so the repair is
+        # read off a matching the delta maintainer has kept through adds and
+        # removes.  A repair answer must be a falsifying repair of the live
+        # database, and asking for the witness must not change the answer.
+        query, db, writes = case
+        engine = CertainEngine(query)
+
+        def check():
+            report = engine.explain(db, want_witness=True)
+            assert report.certain == certain_bruteforce(query, db)
+            if report.algorithm == REPAIR_LABEL:
+                assert is_repair_of(list(report.witness), db)
+                assert not query.satisfied_by(report.witness)
+            plain = engine.explain(db)
+            assert (plain.certain, plain.algorithm, plain.exact) == (
+                report.certain, report.algorithm, report.exact
+            )
+            assert plain.witness is None
+
+        check()
+        for write in writes:
+            apply_write(db, query.schema, write)
+            check()
 
 
 class TestCertKMatchesNaive:

@@ -139,7 +139,11 @@ class TestAnswerEnvelope:
             def certain_by_negation(self, database):
                 return False
 
-        # Force the paper algorithms into a false negative.
+            def witness_repair(self, database):
+                return None
+
+        # Force the paper algorithms into a false negative (no matching
+        # repair either, so the witness request reaches the SAT solve).
         engine._certk = engine._matching = _Never()
         inexact = engine.explain(db)
         assert inexact.certain is False and inexact.exact is False
