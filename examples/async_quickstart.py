@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Async serving quickstart: one event loop, keep-alive clients, shared facts.
+"""Async serving quickstart: one event loop, keep-alive clients, a parallel batch.
 
 PR 9 adds asyncio siblings of the threaded transports.  The wire dialects
 are identical — one JSON request per line (JSONL) or ``POST /answer``
 (HTTP) — but every connection is multiplexed on a single event loop, so a
 slow or half-open client costs a queue slot instead of a thread.  On top of
 that the :class:`repro.server.client.JsonlClient` keeps one socket open
-across calls (a framing ``ping`` marks the end of each batch), and the
-parallel batch engine can hand workers one shared-memory fact segment
-instead of pickling every chunk.
+across calls (a framing ``ping`` marks the end of each batch).  The last
+section answers a batch of databases over two pool workers, which receive
+each database as its fact list, and checks the verdicts against the
+sequential engine.
 
 Run with::
 
@@ -19,7 +20,6 @@ import json
 
 from repro import CQAServer, CertainEngine, parse_query
 from repro.db.generators import random_solution_database
-from repro.db.shared_store import SharedFactStore, shm_available
 from repro.server import JsonlClient, call_http
 from repro.server.aio import start_async_http_server, start_async_jsonl_server
 
@@ -72,8 +72,8 @@ def main() -> None:
     jsonl.shutdown()
 
     # ------------------------------------------------------------------ #
-    # 4. Shared-memory batch answering: pack the whole batch once, let
-    #    workers attach instead of unpickling per-chunk copies.
+    # 4. Parallel batch answering: two pool workers, one chunk of fact
+    #    lists per task, verdicts identical to the sequential engine.
     # ------------------------------------------------------------------ #
     query = parse_query(Q3)
     rng = random.Random(2024)
@@ -83,18 +83,12 @@ def main() -> None:
     ]
     engine = CertainEngine(query)
     sequential = engine.is_certain_many(databases)
-    if shm_available():
-        with SharedFactStore.pack(databases) as store:
-            info = store.describe()
-            print(f"packed {info['databases']} databases "
-                  f"({info['tokens']} tokens, {info['bytes']} bytes) "
-                  f"into segment {info['name']}")
-        shared = engine.is_certain_many(databases, workers=2, share="shm")
-        assert shared == sequential
-        print(f"shared-memory verdicts agree with sequential: "
-              f"{sum(shared)}/{len(shared)} certain")
-    else:  # pragma: no cover - exotic platforms
-        print("shared memory unavailable; pickle fallback only")
+    sharded = engine.is_certain_many(databases, workers=2)
+    assert sharded == sequential
+    stats = engine.last_parallel_stats
+    print(f"{len(databases)} databases in {stats['chunks']} chunks over "
+          f"{stats['workers']} workers agree with sequential: "
+          f"{sum(sharded)}/{len(sharded)} certain")
 
 
 if __name__ == "__main__":

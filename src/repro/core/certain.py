@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import pickle
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..db.fact_store import Database, Repair
 from ..db.repairs import iter_repairs
@@ -150,16 +149,10 @@ class CertainEngine:
         self._cert2 = CertK(query, k=2)
         self._certk = CertK(query, k=practical_k)
         self._matching = MatchingAlgorithm(query)
-        #: How the last sharded :meth:`explain_many` moved its batch:
-        #: ``{"mode", "workers", "chunks"}`` plus ``task_bytes`` (the pickled
-        #: per-task payload) when :attr:`collect_parallel_stats` is set and
-        #: ``store_bytes`` on the shared-memory path.  ``None`` until a
-        #: sharded batch runs; sequential calls leave it untouched.
-        self.last_parallel_stats: Optional[Dict[str, object]] = None
-        #: Opt-in task-payload accounting (benchmarks and tests): measuring
-        #: the pickle path's task bytes costs a second serialisation pass,
-        #: so the hot path keeps it off.
-        self.collect_parallel_stats = False
+        #: The shape of the last sharded :meth:`explain_many`:
+        #: ``{"workers", "chunks"}``.  ``None`` until a sharded batch runs;
+        #: sequential calls leave it untouched.
+        self.last_parallel_stats: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------ #
     # public API
@@ -259,7 +252,6 @@ class CertainEngine:
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         want_witness: bool = False,
-        share: Optional[str] = None,
     ) -> List[EngineReport]:
         """Answer ``certain(q)`` for a batch of databases.
 
@@ -272,129 +264,38 @@ class CertainEngine:
         With ``workers > 1`` the stream is materialised, partitioned into
         contiguous chunks and sharded across a ``multiprocessing`` pool: the
         (picklable) engine is shipped once per worker through the pool
-        initialiser and each worker answers its chunks with full engine-state
-        reuse.  Results are merged back in input order, so the parallel mode
-        is a drop-in replacement for the sequential one.  ``chunk_size``
-        overrides the default sharding granularity (``len / (4 * workers)``,
-        at least 1); ``workers`` of ``None``, 0 or 1 stays sequential and
-        lazy per database.  ``want_witness`` is forwarded to every
-        :meth:`explain` call (witnesses travel back from the workers).
-
-        ``share`` selects how the batch reaches the workers: ``None`` keeps
-        the original per-chunk database pickling; ``"shm"`` packs the batch
-        once into a :class:`~repro.db.shared_store.SharedFactStore` that
-        workers attach to (tasks shrink to ``(start, stop)`` ranges);
-        ``"fork"`` parks the batch for fork-inherited workers (zero-copy);
-        ``"auto"`` picks the best available shared mode and falls back to
-        pickling when neither works on this platform.
+        initialiser, each chunk travels as the fact lists of its databases,
+        and the worker rebuilds every database from its facts and answers it
+        with full engine-state reuse.  Results are merged back in input
+        order, so the parallel mode is a drop-in replacement for the
+        sequential one.  ``chunk_size`` overrides the default sharding
+        granularity (``len / (4 * workers)``, at least 1); ``workers`` of
+        ``None``, 0 or 1 stays sequential and lazy per database.
+        ``want_witness`` is forwarded to every :meth:`explain` call
+        (witnesses travel back from the workers).
         """
         if not workers or workers <= 1:
             return list(self.explain_stream(databases, want_witness=want_witness))
         items = list(databases)
-        if len(items) <= 1:
-            return list(self.explain_stream(items, want_witness=want_witness))
-        if share is not None:
-            from ..db.shared_store import sharing_mode
-
-            mode = sharing_mode(share)
-            if mode is not None:
-                return self._explain_shared(
-                    items, workers, chunk_size, want_witness, mode
-                )
-        return self._explain_sharded(items, workers, chunk_size, want_witness)
-
-    def _shard_geometry(
-        self, count: int, workers: int, chunk_size: Optional[int]
-    ) -> Tuple[int, List[Tuple[int, int]]]:
-        """``(chunk_size, [(start, stop), ...])`` of a sharded batch."""
         if chunk_size is None:
             chunk_size = max(
-                1, math.ceil(count / (DEFAULT_CHUNKS_PER_WORKER * workers))
+                1, math.ceil(len(items) / (DEFAULT_CHUNKS_PER_WORKER * workers))
             )
-        bounds = [
-            (start, min(start + chunk_size, count))
-            for start in range(0, count, chunk_size)
-        ]
-        return chunk_size, bounds
-
-    def _explain_sharded(
-        self,
-        items: Sequence[Database],
-        workers: int,
-        chunk_size: Optional[int],
-        want_witness: bool = False,
-    ) -> List[EngineReport]:
-        chunk_size, bounds = self._shard_geometry(len(items), workers, chunk_size)
-        chunks = [items[start:stop] for start, stop in bounds]
-        processes = min(workers, len(chunks))
+        starts = range(0, len(items), chunk_size)
+        processes = min(workers, len(starts))
         if processes <= 1:
             return list(self.explain_stream(items, want_witness=want_witness))
-        stats: Dict[str, object] = {
-            "mode": "pickle",
-            "workers": processes,
-            "chunks": len(chunks),
-        }
-        if self.collect_parallel_stats:
-            stats["task_bytes"] = sum(
-                len(pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL))
-                for chunk in chunks
-            )
+        chunks = [
+            [database.facts() for database in items[start:start + chunk_size]]
+            for start in starts
+        ]
         with multiprocessing.Pool(
             processes=processes,
             initializer=_init_pool_worker,
             initargs=(self, want_witness),
         ) as pool:
             shard_results = pool.map(_explain_chunk_in_worker, chunks)
-        self.last_parallel_stats = stats
-        return [report for shard in shard_results for report in shard]
-
-    def _explain_shared(
-        self,
-        items: Sequence[Database],
-        workers: int,
-        chunk_size: Optional[int],
-        want_witness: bool,
-        mode: str,
-    ) -> List[EngineReport]:
-        """Sharded batch over a shared fact store: tasks are index ranges."""
-        from ..db import shared_store
-
-        chunk_size, bounds = self._shard_geometry(len(items), workers, chunk_size)
-        processes = min(workers, len(bounds))
-        if processes <= 1:
-            return list(self.explain_stream(items, want_witness=want_witness))
-        stats: Dict[str, object] = {
-            "mode": f"shared-{mode}",
-            "workers": processes,
-            "chunks": len(bounds),
-        }
-        if self.collect_parallel_stats:
-            stats["task_bytes"] = sum(
-                len(pickle.dumps(span, protocol=pickle.HIGHEST_PROTOCOL))
-                for span in bounds
-            )
-        store = None
-        fork_token = None
-        try:
-            if mode == "shm":
-                store = shared_store.SharedFactStore.pack(items)
-                stats["store_bytes"] = store.size
-                initargs = (self, want_witness, store.name, None)
-            else:
-                fork_token = shared_store.share_via_fork(items)
-                initargs = (self, want_witness, None, fork_token)
-            with multiprocessing.Pool(
-                processes=processes,
-                initializer=_init_shared_pool_worker,
-                initargs=initargs,
-            ) as pool:
-                shard_results = pool.map(_explain_range_in_worker, bounds)
-        finally:
-            if store is not None:
-                store.unlink()
-            if fork_token is not None:
-                shared_store.release_fork_batch(fork_token)
-        self.last_parallel_stats = stats
+        self.last_parallel_stats = {"workers": processes, "chunks": len(chunks)}
         return [report for shard in shard_results for report in shard]
 
     def explain_stream(
@@ -409,16 +310,12 @@ class CertainEngine:
         databases: Iterable[Database],
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        share: Optional[str] = None,
     ) -> List[bool]:
-        """Boolean wrapper for :meth:`explain_many` (same ``workers``/``share``
-        contract)."""
-        if not workers or workers <= 1:
-            return [report.certain for report in self.explain_stream(databases)]
+        """Boolean wrapper for :meth:`explain_many` (same ``workers`` contract)."""
         return [
             report.certain
             for report in self.explain_many(
-                databases, workers=workers, chunk_size=chunk_size, share=share
+                databases, workers=workers, chunk_size=chunk_size
             )
         ]
 
@@ -448,56 +345,12 @@ def _init_pool_worker(engine: CertainEngine, want_witness: bool = False) -> None
     _POOL_WANT_WITNESS = want_witness
 
 
-def _explain_chunk_in_worker(databases: Sequence[Database]) -> List[EngineReport]:
+def _explain_chunk_in_worker(chunk: Sequence[List[Fact]]) -> List[EngineReport]:
+    """Answer one chunk: each entry is the fact list of one database."""
     assert _POOL_ENGINE is not None, "pool worker used before initialisation"
     return [
-        _POOL_ENGINE.explain(database, want_witness=_POOL_WANT_WITNESS)
-        for database in databases
-    ]
-
-
-#: The worker's attachment to the batch shared by the parent: either a
-#: :class:`~repro.db.shared_store.SharedFactStore` mapping (shm mode) or the
-#: fork-inherited database sequence itself (fork mode).
-_POOL_STORE = None
-_POOL_BATCH: Optional[Sequence[Database]] = None
-
-
-def _init_shared_pool_worker(
-    engine: CertainEngine,
-    want_witness: bool,
-    store_name: Optional[str],
-    fork_token: Optional[str],
-) -> None:
-    """Attach this worker to the parent's shared batch (once per worker)."""
-    global _POOL_STORE, _POOL_BATCH
-    _init_pool_worker(engine, want_witness)
-    if store_name is not None:
-        from ..db.shared_store import SharedFactStore
-
-        _POOL_STORE = SharedFactStore.attach(store_name)
-        _POOL_BATCH = None
-    else:
-        from ..db.shared_store import fork_batch
-
-        _POOL_STORE = None
-        _POOL_BATCH = fork_batch(fork_token)
-
-
-def _explain_range_in_worker(span: Tuple[int, int]) -> List[EngineReport]:
-    """Answer databases ``span = (start, stop)`` of the shared batch."""
-    assert _POOL_ENGINE is not None, "pool worker used before initialisation"
-    start, stop = span
-    if _POOL_STORE is not None:
-        databases: Iterable[Database] = (
-            _POOL_STORE.database(index) for index in range(start, stop)
-        )
-    else:
-        assert _POOL_BATCH is not None, "shared pool worker has no batch"
-        databases = _POOL_BATCH[start:stop]
-    return [
-        _POOL_ENGINE.explain(database, want_witness=_POOL_WANT_WITNESS)
-        for database in databases
+        _POOL_ENGINE.explain(Database(facts), want_witness=_POOL_WANT_WITNESS)
+        for facts in chunk
     ]
 
 

@@ -423,8 +423,9 @@ class Database:
 
     def __getstate__(self) -> Dict[str, object]:
         # Delta listeners are process-local observers (often closures); the
-        # derived cache and its maintainers travel with the database so that
-        # parallel workers keep primed structures (e.g. SQL pushdowns).
+        # derived cache and its maintainers travel with the database, so a
+        # pickled copy keeps its primed structures.  (Pool workers never
+        # receive a pickled database: ``explain_many`` ships fact lists.)
         # Cache-identity markers (the service layer's fingerprint token and
         # the answer cache's watcher set) must not travel either: a pickled
         # copy is a *different* database that has no delta listener, so

@@ -92,19 +92,9 @@ class CostModel:
     pool_startup_s: float = 2.0e-4
     #: Per-worker cost of shipping the pickled engine into a pool worker.
     worker_ship_s: float = 1.0e-4
-    #: Per-fact cost of pickling chunk payloads into pool workers (the PR 2
-    #: sharded path ships every database as a pickled copy; this is the tax
-    #: the shared fact store exists to remove).
+    #: Per-fact cost of shipping a batch into pool workers: every chunk
+    #: travels as the pickled fact lists of its databases.
     pickle_per_fact_s: float = 2.0e-6
-    #: Per-worker cost of attaching to (and decoding the term dictionary of)
-    #: one shared fact store segment.
-    shared_attach_s: float = 5.0e-4
-    #: Per-fact cost of packing the batch into the shared store — paid once
-    #: by the creator, not once per chunk.
-    shared_pack_per_fact_s: float = 4.0e-7
-    #: Known-total-facts floor under which the shared store's pack/attach
-    #: overhead cannot beat plain chunk pickling.
-    shared_min_facts: int = 2000
     #: Cost of serving one envelope from the answer cache (lookup + copy).
     cache_hit_s: float = 2.0e-5
     #: Round-trip overhead of dispatching one request to a remote fleet
@@ -222,9 +212,9 @@ class CostModel:
     ) -> float:
         """Modelled cost of the batch sharded over ``workers`` processes.
 
-        Includes the per-fact chunk-pickling tax of the original sharded
-        path; :meth:`shared_pool_cost` prices the shared-store alternative
-        and the planner arbitrates attach-vs-pickle per request.
+        Pool start-up, one engine shipment per worker and the per-fact tax
+        of pickling every chunk's fact lists, on top of the sequential cost
+        split across the workers.
         """
         sequential = self.sequential_cost(size_hints, classification, pushdown=pushdown)
         workers = max(1, workers)
@@ -232,30 +222,6 @@ class CostModel:
             self.pool_startup_s
             + self.worker_ship_s * workers
             + self.pickle_per_fact_s * self.known_facts(size_hints)
-            + sequential / workers
-        )
-
-    def shared_pool_cost(
-        self,
-        size_hints: Sequence[Optional[int]],
-        classification: Optional[object],
-        workers: int,
-        pushdown: bool = False,
-    ) -> float:
-        """Modelled cost of the batch sharded over a shared fact store.
-
-        The per-chunk pickling tax is replaced by one pack of the batch
-        (:attr:`shared_pack_per_fact_s` per fact) plus one attach per worker
-        (:attr:`shared_attach_s`); the break-even against :meth:`pool_cost`
-        is what routes small batches to plain pickling.
-        """
-        sequential = self.sequential_cost(size_hints, classification, pushdown=pushdown)
-        workers = max(1, workers)
-        return (
-            self.pool_startup_s
-            + self.worker_ship_s * workers
-            + self.shared_attach_s * workers
-            + self.shared_pack_per_fact_s * self.known_facts(size_hints)
             + sequential / workers
         )
 
@@ -398,7 +364,6 @@ REFIT_TARGETS = {
     "sqlite-pushdown": ("pushdown_setup_s", "pushdown_per_fact_s"),
     "backend-pushdown": ("connect_s", "stream_row_s"),
     "sharded-pool": ("pool_startup_s", "worker_ship_s", "pickle_per_fact_s"),
-    "shared-pool": ("shared_attach_s", "shared_pack_per_fact_s"),
     "answer-cache": ("cache_hit_s",),
 }
 

@@ -45,12 +45,10 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 from ..backends.base import (
     BackendSpec,
     DatasetUnavailable,
-    is_backend_spec,
     parse_backend_spec,
 )
 from ..backends.dbapi import DbApiBackend
 from ..backends.streaming import (
-    DEFAULT_BATCH_SIZE,
     ReductionStats,
     materialized_database,
     reduced_streamed_database,

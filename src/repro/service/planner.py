@@ -29,12 +29,6 @@ contract:
     The batch sharded across a multiprocessing pool.  Pool width and chunk
     size are cost-model outputs; an explicit ``workers=N`` request is
     honoured without second-guessing.
-``shared-pool``
-    The same pool over a shared-memory fact store: the batch is packed once
-    and workers attach instead of unpickling chunk copies.  Eligible only
-    when the platform shares memory, every dataset size is known, and the
-    batch clears the ``shared_min_facts`` floor; the cost model's
-    attach-vs-pickle terms arbitrate against ``sharded-pool`` per request.
 ``answer-cache``
     The server layer's short-circuit (registered by
     :class:`~repro.server.app.CachingSession`): every dataset of the
@@ -75,7 +69,6 @@ INDEXED_MEMORY = "indexed-memory"
 SQLITE_PUSHDOWN = "sqlite-pushdown"
 BACKEND_PUSHDOWN = "backend-pushdown"
 SHARDED_POOL = "sharded-pool"
-SHARED_POOL = "shared-pool"
 #: The server-layer short-circuit: every dataset of the request was served
 #: from the answer cache, so no execution strategy was selected at all.
 ANSWER_CACHE = "answer-cache"
@@ -102,10 +95,6 @@ class Plan:
     cost: Optional[CostEstimate] = field(default=None, compare=False)
     #: Sharding granularity (a cost-model output; ``None`` off the pool).
     chunk_size: Optional[int] = field(default=None, compare=False)
-
-    @property
-    def is_sharded(self) -> bool:
-        return self.strategy in (SHARDED_POOL, SHARED_POOL)
 
     def to_json_dict(self) -> Dict[str, object]:
         """The ``--explain-plan`` payload attached to answer envelopes."""
@@ -228,19 +217,6 @@ class Planner:
                 cost=estimate,
                 chunk_size=estimate.chunk_size,
             )
-        if winner.name == SHARED_POOL:
-            workers = estimate.workers or 1
-            return Plan(
-                SHARED_POOL,
-                workers,
-                pushdown,
-                f"batch of {len(datasets)} datasets on {workers} workers over "
-                "a shared fact store",
-                tuple(warnings),
-                alternatives=scoreboard,
-                cost=estimate,
-                chunk_size=estimate.chunk_size,
-            )
         if winner.name == SQLITE_PUSHDOWN:
             return Plan(
                 SQLITE_PUSHDOWN,
@@ -342,9 +318,7 @@ class Planner:
         scoreboard: Tuple[ScoredStrategy, ...],
     ) -> Tuple[ScoredStrategy, CostEstimate]:
         by_name = {scored.name: scored for scored in scoreboard}
-        # 1. An explicit workers request on a batch is honoured by instruction;
-        #    between the two pool strategies the cost model's attach-vs-pickle
-        #    terms pick the cheaper transport.
+        # 1. An explicit workers request on a batch is honoured by instruction.
         requested = context.requested_workers
         sharded = by_name.get(SHARDED_POOL)
         if (
@@ -353,15 +327,6 @@ class Planner:
             and sharded is not None
             and sharded.eligible
         ):
-            shared = by_name.get(SHARED_POOL)
-            if (
-                shared is not None
-                and shared.eligible
-                and shared.cost is not None
-                and sharded.cost is not None
-                and shared.cost.total_s < sharded.cost.total_s
-            ):
-                return shared, shared.cost
             return sharded, sharded.cost
         # 2. backend="sqlite" forces the pushdown when it applies and no
         #    sharding instruction outranks it (auto-sharding still wins the

@@ -18,10 +18,11 @@ bundles the three things the planner needs from an execution path:
     exposes the owning session's pooled engine and dataset resolution.
 
 A :class:`StrategyRegistry` holds the strategies a planner scores.  The
-built-ins port the three historical paths — ``indexed-memory``,
-``sqlite-pushdown``, ``sharded-pool`` — unchanged in behaviour and name;
-the server layer registers its ``answer-cache`` short-circuit through the
-same seam (:class:`repro.server.app.AnswerCacheStrategy`).  Users plug in
+built-ins are the four execution paths — ``indexed-memory``,
+``sqlite-pushdown``, ``backend-pushdown`` and ``sharded-pool`` (the one
+parallel batch mode) — under their historical names; the server layer
+registers its ``answer-cache`` short-circuit through the same seam
+(:class:`repro.server.app.AnswerCacheStrategy`).  Users plug in
 their own via ``Session(strategies=[...])`` or the ``repro.strategies``
 entry-point group.
 """
@@ -505,26 +506,19 @@ class ShardedPoolStrategy(Strategy):
             ),
         )
 
-    #: How the batch reaches the pool workers (``None`` = per-chunk pickling;
-    #: the shared-store subclass overrides with ``"auto"``).
-    share_mode: Optional[str] = None
-
     def execute(self, ctx: ExecutionContext, request: Request) -> List[Answer]:
-        engine = ctx.engine
         plan = ctx.plan
-        want_witness = request.wants_witness
         # The pool needs the whole batch up front; materialise it.
         resolved: List[Tuple[DatasetRef, "Database", float]] = []
         for ref in request.datasets:
             database, load_s = ctx.resolve(ref)
             resolved.append((ref, database, load_s))
         batch_started = time.perf_counter()
-        reports = engine.explain_many(
+        reports = ctx.engine.explain_many(
             [database for _, database, _ in resolved],
             workers=plan.workers,
             chunk_size=plan.chunk_size,
-            want_witness=want_witness,
-            share=self.share_mode,
+            want_witness=request.wants_witness,
         )
         batch_s = time.perf_counter() - batch_started
         batch_details = {
@@ -532,9 +526,6 @@ class ShardedPoolStrategy(Strategy):
             "workers": plan.workers,
             "chunk_size": plan.chunk_size,
         }
-        parallel_stats = getattr(engine, "last_parallel_stats", None)
-        if self.share_mode is not None and isinstance(parallel_stats, dict):
-            batch_details["share"] = parallel_stats.get("mode")
         return [
             ctx.answer_for(
                 request,
@@ -549,72 +540,6 @@ class ShardedPoolStrategy(Strategy):
             )
             for (ref, database, load_s), report in zip(resolved, reports)
         ]
-
-
-class SharedMemoryPoolStrategy(ShardedPoolStrategy):
-    """The sharded pool over a shared-memory fact store (no per-chunk pickling).
-
-    Same pool, same chunk geometry — but the batch is packed once into a
-    :class:`~repro.db.shared_store.SharedFactStore` (or parked for
-    fork-inherited workers) and tasks shrink to ``(start, stop)`` index
-    ranges.  Eligibility adds three gates to the sharded pool's: the
-    platform must offer a sharing mode, every dataset size must be known,
-    and the batch must carry at least ``shared_min_facts`` facts — below
-    that the pack/attach overhead cannot beat plain chunk pickling, and the
-    cost comparison (``CostModel.shared_pool_cost`` vs ``pool_cost``)
-    arbitrates the rest per request.
-    """
-
-    name = "shared-pool"
-    specificity = 25
-    share_mode = "auto"
-
-    def supports(self, request, classification, context):
-        eligible, reasons = super().supports(request, classification, context)
-        if not eligible:
-            return eligible, reasons
-        if request.backend == "sqlite":
-            return False, (
-                "backend=sqlite pins pushdown-primed databases: workers "
-                "rebuilding from the shared store would drop the primed "
-                "derived structures",
-            )
-        from ..db.shared_store import sharing_mode
-
-        if sharing_mode(None) is None:
-            return False, (
-                "no shared-memory or fork sharing available on this platform",
-            )
-        hints = context.size_hints
-        if not all(hint is not None for hint in hints):
-            return False, (
-                "needs every dataset size known to price attach-vs-pickle",
-            )
-        model = context.cost_model
-        total = sum(hints)
-        floor = getattr(model, "shared_min_facts", 0)
-        if total < floor:
-            return False, (
-                f"batch of {total} known facts below the shared-store floor "
-                f"of {floor}: pack/attach overhead dominates",
-            )
-        return True, ()
-
-    def estimate(self, request, classification, size_hints, context):
-        model = context.cost_model
-        workers = self.pool_workers(request, classification, context)
-        sequential = model.sequential_cost(size_hints, classification)
-        total = model.shared_pool_cost(size_hints, classification, workers)
-        return CostEstimate(
-            total_s=total,
-            eval_s=sequential / max(1, workers),
-            overhead_s=total - sequential / max(1, workers),
-            workers=workers,
-            chunk_size=model.chunk_size(len(size_hints), workers),
-            predicted_speedup=(sequential / total) if total > 0 else None,
-            notes="workers attach to one shared fact store "
-            "(no per-chunk database pickling)",
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -679,7 +604,6 @@ class StrategyRegistry:
                 SqlitePushdownStrategy(),
                 PushdownStrategy(),
                 ShardedPoolStrategy(),
-                SharedMemoryPoolStrategy(),
             )
         )
         for factory in _entry_point_factories():
@@ -715,7 +639,6 @@ __all__ = [
     "PlannerContext",
     "PushdownStrategy",
     "ScoredStrategy",
-    "SharedMemoryPoolStrategy",
     "ShardedPoolStrategy",
     "SqlitePushdownStrategy",
     "Strategy",

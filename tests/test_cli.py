@@ -77,6 +77,21 @@ class TestCertainCommand:
         assert "batch     : 2 databases" in output
         assert "certain=False" in output and "certain=True" in output
 
+    @pytest.mark.parametrize("rows", [40, 1100], ids=["small", "over-2000-facts"])
+    def test_certain_batch_notes_sharding(self, capsys, tmp_path, rows):
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            path = tmp_path / name
+            path.write_text(
+                "k,v\n" + "".join(f"{i},{i + 1}\n" for i in range(rows)),
+                encoding="utf-8",
+            )
+            paths.append(str(path))
+        assert main(["certain", "R(x|y) R(y|z)", *paths, "--workers", "2"]) == 0
+        output = capsys.readouterr().out
+        assert "batch     : 2 databases (sharded over 2 workers)" in output
+        assert output.count("certain=True") == 2
+
     def test_certain_single_csv_warns_when_workers_ignored(self, capsys, hr_csv):
         assert main(["certain", HR_QUERY, hr_csv, "--workers", "4"]) == 0
         captured = capsys.readouterr()

@@ -10,7 +10,8 @@ inputs.  Pinned paths:
 * the service layer's ``sqlite-pushdown`` strategy (SQL solution pairs and
   ``Cert_k`` seeds primed from a :class:`SqliteFactStore`);
 * the ``sharded-pool`` strategy (``explain_many`` over a multiprocessing
-  pool);
+  pool, whose chunks carry fact lists), with witnesses, also on warm
+  databases mutated after a first answer;
 * the cached server path (:class:`~repro.server.app.CachingSession`), both
   cold (stored) and warm (served from the cache).
 
@@ -35,6 +36,7 @@ from repro import (
     classify,
     paper_queries,
 )
+from repro.db.fact_store import is_repair_of
 from repro.db.generators import (
     random_block_database,
     random_solution_database,
@@ -48,7 +50,9 @@ QUERY_CLASSES = {
     "q2": "coNP-complete",  # fork tripath
     "q3": "PTime",          # syntactic easy (Cert_2)
     "q4": "PTime",          # Cert_k
+    "q5": "PTime",          # Cert_k ∨ ¬matching, no tripath
     "q6": "PTime",          # matching(q) / clique structure
+    "q7": "PTime",          # triangle tripath only, arity 14
 }
 
 #: Random databases generated per query (two generator families each).
@@ -94,6 +98,13 @@ def _generate_cases(query, name):
     return [db for db in databases if db.repair_count() <= MAX_REPAIRS]
 
 
+def _assert_genuine_witnesses(query, databases, reports):
+    for database, report in zip(databases, reports):
+        if not report.certain:
+            assert is_repair_of(report.witness, database)
+            assert not query.satisfied_by(report.witness)
+
+
 @pytest.mark.parametrize("name", sorted(QUERY_CLASSES))
 def test_all_paths_agree_with_bruteforce_oracle(name):
     query = paper_queries()[name]
@@ -105,16 +116,24 @@ def test_all_paths_agree_with_bruteforce_oracle(name):
 
     # Path 1: the indexed in-memory engine, one explain per database.
     engine = CertainEngine(query, classification=classification)
+    reports = []
     for database, expected in zip(databases, oracle):
         report = engine.explain(database)
         assert report.certain == expected, (
             f"{name}: indexed engine disagrees with the oracle on "
             f"{database.describe()}"
         )
+        reports.append(report)
 
-    # Path 2: the sharded multiprocessing pool over the whole batch.
-    sharded = engine.explain_many(databases, workers=2)
+    # Path 2: the sharded multiprocessing pool over the whole batch, with
+    # the sequential algorithm labels and genuine witnesses.
+    sharded = engine.explain_many(databases, workers=2, want_witness=True)
+    assert engine.last_parallel_stats["chunks"] >= 2
     assert [report.certain for report in sharded] == oracle
+    assert [report.algorithm for report in sharded] == [
+        report.algorithm for report in reports
+    ]
+    _assert_genuine_witnesses(query, databases, sharded)
 
     # Path 3: the service layer's sqlite-pushdown strategy.
     session = CachingSession(cache=None)  # plain planned path, no caching
@@ -156,10 +175,42 @@ def test_all_paths_agree_with_bruteforce_oracle(name):
         assert warm.details["cache"] == "hit"
 
 
+def test_sharded_pool_answers_warm_databases_like_sequential():
+    """Databases answered once, then mutated: the pool's workers rebuild
+    them from their facts and must reach the sequential (delta-maintained)
+    verdicts."""
+    from repro import Database
+    from repro.db.generators import random_fact
+
+    for name in ("q1", "q2", "q3", "q4", "q5", "q6", "q7"):
+        query = paper_queries()[name]
+        rng = random.Random(80_000 + sum(map(ord, name)))
+        databases = [
+            random_solution_database(query, 3, 2, 4, rng) for _ in range(4)
+        ]
+        engine = CertainEngine(query)
+        engine.explain_many(databases)
+        for database in databases:
+            for _ in range(4):
+                live = database.facts()
+                if live and rng.random() < 0.45:
+                    database.remove(rng.choice(live))
+                else:
+                    database.add(random_fact(query.schema, 4, rng))
+        sequential = engine.explain_many(databases, want_witness=True)
+        sharded = engine.explain_many(databases, workers=2, want_witness=True)
+        assert engine.last_parallel_stats["chunks"] >= 2
+        verdicts = [report.certain for report in sequential]
+        assert [report.certain for report in sharded] == verdicts
+        assert verdicts == [
+            certain_bruteforce(query, Database(database.facts()))
+            for database in databases
+        ]
+        _assert_genuine_witnesses(query, databases, sharded)
+
+
 def test_witness_paths_agree_with_oracle():
     """Negative verdicts must come with genuine falsifying repairs everywhere."""
-    from repro.db.fact_store import is_repair_of
-
     query = paper_queries()["q2"]
     caching = CachingSession(cache=AnswerCache())
     found_negative = 0

@@ -7,8 +7,10 @@ of facts, so their order must not change the content identity.
 """
 
 import os
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service.datasets import DatasetRef
 
@@ -58,6 +60,41 @@ class TestCsvPathStability:
         assert ref.stripe_key() is not None
 
 
+#: Row values: small ints and strings built from quotes, commas, brackets
+#: and spaces, so a digest over rendered rows that concatenated or split
+#: them ambiguously would collide.
+_VALUES = st.one_of(st.integers(-3, 3), st.text(alphabet="ab'\",[] ", max_size=3))
+_ROW = st.lists(_VALUES, min_size=2, max_size=2)
+
+
+@st.composite
+def _row_payload_pairs(draw):
+    """A row payload and a permutation of it, then maybe one edit: a row
+    added, duplicated, dropped or replaced, its values turned into strings,
+    or one character moved across the boundary between its two values."""
+    rows = draw(st.lists(_ROW, max_size=5))
+    other = list(draw(st.permutations(rows)))
+    edit = draw(st.sampled_from(
+        ["none", "add", "duplicate", "drop", "replace", "retype", "shift"]
+    ))
+    if edit == "add":
+        other.append(draw(_ROW))
+    elif edit == "duplicate" and rows:
+        other.append(draw(st.sampled_from(rows)))
+    elif other:
+        index = draw(st.integers(0, len(other) - 1))
+        if edit == "drop":
+            other.pop(index)
+        elif edit == "replace":
+            other[index] = draw(_ROW)
+        elif edit == "retype":
+            other[index] = [str(value) for value in other[index]]
+        elif edit == "shift":
+            left, right = map(str, other[index])
+            other[index] = [left[:-1], left[-1:] + right]
+    return rows, other
+
+
 class TestInlineRowsStability:
     def test_reordered_rows_share_identity(self):
         shuffled = [ROWS[2], ROWS[0], ROWS[3], ROWS[1]]
@@ -79,3 +116,16 @@ class TestInlineRowsStability:
         first = DatasetRef.inline_rows(ROWS)
         second = DatasetRef.inline_rows(ROWS + [ROWS[0]])
         assert first.fingerprint() != second.fingerprint()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_row_payload_pairs())
+    def test_identity_shared_iff_row_multisets_equal(self, pair):
+        # A database is a set of facts, so row order must not matter, but a
+        # repeated row is a different payload than the deduplicated one.
+        rows, other = pair
+        first = DatasetRef.inline_rows(rows)
+        second = DatasetRef.inline_rows(other)
+        same = Counter(map(tuple, rows)) == Counter(map(tuple, other))
+        assert (first.fingerprint() == second.fingerprint()) == same
+        assert (first.stripe_key() == second.stripe_key()) == same
+        assert (first.routing_key() == second.routing_key()) == same

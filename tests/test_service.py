@@ -439,6 +439,16 @@ class TestShardedSessionAnswers:
         )
         assert answers[0].verdict is False and answers[0].witness
         assert answers[1].verdict is True and answers[1].witness is None
+        # The witnesses the workers send back are genuine falsifying
+        # repairs of the databases the parent holds.
+        engine = CertainEngine(query)
+        reports = engine.explain_many(dbs, workers=2, want_witness=True)
+        assert engine.last_parallel_stats["chunks"] == 2
+        assert [report.certain for report in reports] == [False, True]
+        for database, report in zip(dbs, reports):
+            if not report.certain:
+                assert is_repair_of(report.witness, database)
+                assert not query.satisfied_by(report.witness)
 
 
 class TestExactSupportStillAgrees:

@@ -1,54 +1,22 @@
-"""Differential tests for the shared-memory fact store (PR 9).
+"""Differential verdicts for the batch transport of the sharded pool.
 
-The :class:`~repro.db.shared_store.SharedFactStore` replaces per-chunk
-database pickling in the sharded batch mode: the parent packs the whole
-batch into one shared segment and workers attach read-only.  Nothing about
-verdicts may change — every share mode (``shm``, ``fork``, ``pickle``) must
-agree with the in-process engine *and* with the brute-force repair
-enumeration, across all seven paper query classes.
-
-The lifecycle tests pin the ownership rules ARCHITECTURE.md documents: the
-creator (and only the creator) unlinks; attachers only close; a worker
-killed with SIGKILL mid-attach must not leak a ``/dev/shm`` segment once
-the creator cleans up.
+``CertainEngine.explain_many(workers>1)`` ships each chunk to a worker as
+the ``database.facts()`` lists of its databases, and the worker rebuilds
+each :class:`~repro.Database` before answering.  That is now the only way a
+batch reaches the pool (the shared-memory fact store this module was named
+for is gone).  Nothing about verdicts may change: the pool must agree with
+the in-process engine *and* with the brute-force repair enumeration,
+across all seven paper query classes, and report the same algorithms.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import signal
-import time
 
 import pytest
 
-from repro import CertainEngine, certain_bruteforce, paper_queries
+from repro import CertainEngine, certain_bruteforce
 from repro.db.generators import random_solution_database
-from repro.db.shared_store import (
-    SEGMENT_PREFIX,
-    SharedFactStore,
-    fork_available,
-    share_via_fork,
-    fork_batch,
-    release_fork_batch,
-    sharing_mode,
-    shm_available,
-)
-
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="multiprocessing.shared_memory unavailable"
-)
-
-_SHM_DIR = "/dev/shm"
-
-
-def _repro_segments():
-    """Names of live repro shared-memory segments (Linux observability)."""
-    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux
-        return set()
-    return {
-        name for name in os.listdir(_SHM_DIR) if name.startswith(SEGMENT_PREFIX)
-    }
 
 
 def _small_batch(query, count=3, seed=0):
@@ -59,157 +27,27 @@ def _small_batch(query, count=3, seed=0):
     ]
 
 
-# --------------------------------------------------------------------------- #
-# pack/attach round-trip
-# --------------------------------------------------------------------------- #
-class TestRoundTrip:
-    def test_attach_sees_identical_facts_in_order(self, queries):
-        databases = _small_batch(queries["q3"]) + _small_batch(queries["q6"], seed=1)
-        with SharedFactStore.pack(databases) as store:
-            attached = SharedFactStore.attach(store.name)
-            try:
-                assert len(attached) == len(databases)
-                for index, database in enumerate(databases):
-                    assert list(attached.facts(index)) == database.facts()
-                    assert attached.database(index).facts() == database.facts()
-                rebuilt = list(attached.databases())
-                assert [db.facts() for db in rebuilt] == [
-                    db.facts() for db in databases
-                ]
-            finally:
-                attached.close()
-
-    def test_describe_reports_segment_geometry(self, queries):
-        databases = _small_batch(queries["q2"])
-        with SharedFactStore.pack(databases) as store:
-            info = store.describe()
-            assert info["databases"] == len(databases)
-            assert info["bytes"] > 0
-            # One schema token + arity element tokens per fact.
-            facts = sum(len(db) for db in databases)
-            assert info["tokens"] == sum(
-                1 + fact.schema.arity for db in databases for fact in db
-            )
-            assert info["tokens"] >= facts
-            assert store.name.startswith(SEGMENT_PREFIX)
-
-    def test_creator_unlink_removes_the_segment(self, queries):
-        store = SharedFactStore.pack(_small_batch(queries["q1"]))
-        name = store.name
-        assert name in _repro_segments()
-        store.unlink()
-        assert name not in _repro_segments()
-
-    def test_attacher_close_leaves_the_segment_for_the_creator(self, queries):
-        store = SharedFactStore.pack(_small_batch(queries["q1"]))
-        attached = SharedFactStore.attach(store.name)
-        attached.close()
-        # The attacher's close must not unlink (nor untrack) the segment.
-        assert store.name in _repro_segments()
-        still = SharedFactStore.attach(store.name)
-        assert len(still) == len(store)
-        still.close()
-        store.unlink()
-        assert store.name not in _repro_segments()
-
-
-# --------------------------------------------------------------------------- #
-# differential verdicts: every share mode, all seven query classes
-# --------------------------------------------------------------------------- #
 class TestDifferentialVerdicts:
     @pytest.mark.parametrize("name", ["q1", "q2", "q3", "q4", "q5", "q6", "q7"])
     def test_share_modes_agree_with_bruteforce(self, queries, name):
         query = queries[name]
-        databases = _small_batch(query, count=3, seed=hash(name) % 1000)
+        databases = _small_batch(query, count=3, seed=sum(map(ord, name)))
         truth = [certain_bruteforce(query, database) for database in databases]
 
         engine = CertainEngine(query)
         sequential = engine.is_certain_many(databases)
         assert sequential == truth
 
-        shm = engine.is_certain_many(databases, workers=2, share="shm")
-        assert shm == truth
-        if fork_available():
-            fork = engine.is_certain_many(databases, workers=2, share="fork")
-            assert fork == truth
-        pickled = engine.is_certain_many(databases, workers=2, share="pickle")
-        assert pickled == truth
+        sharded = engine.is_certain_many(databases, workers=2)
+        assert engine.last_parallel_stats["chunks"] >= 2
+        assert sharded == truth
 
     def test_explain_reports_match_across_modes(self, queries):
         query = queries["q3"]
         databases = _small_batch(query, count=6, seed=7)
         engine = CertainEngine(query)
         baseline = engine.explain_many(databases)
-        shared = engine.explain_many(databases, workers=2, share="shm")
-        assert [r.certain for r in shared] == [r.certain for r in baseline]
-        assert [r.algorithm for r in shared] == [r.algorithm for r in baseline]
-
-    def test_shared_runs_leave_no_segments_behind(self, queries):
-        before = _repro_segments()
-        engine = CertainEngine(queries["q3"])
-        engine.explain_many(_small_batch(queries["q3"], count=4), workers=2, share="shm")
-        assert _repro_segments() == before
-
-
-# --------------------------------------------------------------------------- #
-# sharing-mode resolution
-# --------------------------------------------------------------------------- #
-class TestSharingMode:
-    def test_auto_prefers_shm(self):
-        assert sharing_mode(None) == "shm"
-        assert sharing_mode("auto") == "shm"
-
-    def test_explicit_modes(self):
-        assert sharing_mode("shm") == "shm"
-        assert sharing_mode("pickle") is None
-        if fork_available():
-            assert sharing_mode("fork") == "fork"
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            sharing_mode("rdma")
-
-
-# --------------------------------------------------------------------------- #
-# fork-inherited batches
-# --------------------------------------------------------------------------- #
-@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-class TestForkBatches:
-    def test_fork_token_round_trip(self, queries):
-        databases = _small_batch(queries["q5"])
-        token = share_via_fork(databases)
-        try:
-            assert list(fork_batch(token)) == databases
-        finally:
-            release_fork_batch(token)
-        with pytest.raises(KeyError):
-            fork_batch(token)
-
-
-# --------------------------------------------------------------------------- #
-# unclean shutdown: a SIGKILLed attacher must not leak the segment
-# --------------------------------------------------------------------------- #
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-class TestUncleanShutdown:
-    def test_killed_attacher_leaves_creator_cleanup_working(self, queries):
-        store = SharedFactStore.pack(_small_batch(queries["q3"]))
-        name = store.name
-        child = os.fork()
-        if child == 0:  # pragma: no cover - runs in the doomed child
-            try:
-                attached = SharedFactStore.attach(name)
-                list(attached.facts(0))  # touch the mapping
-            finally:
-                os.kill(os.getpid(), signal.SIGKILL)
-        # Parent: wait for the child to die *while attached*.
-        os.waitpid(child, 0)
-        time.sleep(0.05)
-        # The kill must not have removed or corrupted the segment …
-        assert name in _repro_segments()
-        attached = SharedFactStore.attach(name)
-        assert len(attached) == len(store)
-        attached.close()
-        # … and the creator's unlink still removes it — no leak, no
-        # resource_tracker KeyError noise from the dead attacher.
-        store.unlink()
-        assert name not in _repro_segments()
+        sharded = engine.explain_many(databases, workers=2)
+        assert engine.last_parallel_stats["chunks"] >= 2
+        assert [r.certain for r in sharded] == [r.certain for r in baseline]
+        assert [r.algorithm for r in sharded] == [r.algorithm for r in baseline]
