@@ -31,17 +31,21 @@ Two implementations are provided:
   materialised, so the cost is driven by the size of the fixpoint rather
   than by the ``O(n^k)`` candidate space.
 
-  The fixpoint runs one block component at a time (blocks are joined when
-  a seed pair spans them).  As in the component argument of Proposition
-  10.6, no search step leaves a component, so ``Δ_k`` is the disjoint union
-  of the components' fixpoints and ``q`` passes ``Cert_k`` on ``D`` iff it
-  passes on one component.  Components run smallest first (by seed count)
-  and the run stops at the first one that derives the empty set; a certain
-  database with a small certain component is decided after a handful of
-  insertions, whatever the size of the rest.  In the worst case the only
-  certain component is the largest and every smaller one runs first, which
-  is at most the work of a non-certain run.  The result's ``delta`` is
-  converted back to ``Fact`` frozensets only when it is first read.
+  The fixpoint runs one ``q``-connected block component at a time, read
+  from the database's cached, delta-maintained partition
+  (:func:`~repro.core.solutions.block_partition`).  As in the component
+  argument of Proposition 10.6, no search step leaves a component, so
+  ``Δ_k`` is the disjoint union of the components' fixpoints and ``q``
+  passes ``Cert_k`` on ``D`` iff it passes on one component.  Each
+  component's finished fixpoint is memoised on its partition record, which
+  a write retires only when it touches the component: a read after a
+  one-fact write reruns only the components the write touched.  A memoised
+  certain component decides a run at once; otherwise the components not yet
+  memoised run smallest first (by fact count) and the run stops at the
+  first one that derives the empty set, so a certain database with a small
+  certain component is decided after a handful of insertions, whatever the
+  size of the rest.  The result's ``delta`` is converted back to ``Fact``
+  frozensets only when it is first read.
 * :class:`NaiveCertK` — the seed implementation: enumerate every candidate
   k-set with ``itertools.combinations`` and re-scan them all on every pass
   until nothing changes.  Kept verbatim as the differential-testing oracle.
@@ -56,12 +60,12 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from itertools import chain, combinations
+from operator import attrgetter
 from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..db.fact_store import BlockId, Database
-from ..graphs.components import find_root
 from .query import TwoAtomQuery
-from .solutions import SolutionGraph, build_solution_graph
+from .solutions import BlockComponent, SolutionGraph, block_partition, build_solution_graph
 from .terms import Fact
 
 KSet = FrozenSet[Fact]
@@ -74,9 +78,11 @@ class CertKResult:
 
     ``iterations`` counts fixpoint work: passes over the candidate space for
     :class:`NaiveCertK`; for :class:`CertK`, antichain insertions processed
-    in the block components it ran (all of them unless one is certain).
-    ``delta`` is the computed antichain; a :class:`CertK` result builds it
-    from the run's fact ids on first access.
+    in the block components this call recomputed — 0 when every component's
+    outcome was memoised.  ``delta`` is the computed antichain (on a
+    non-certain :class:`CertK` result, the union of every component's); a
+    :class:`CertK` result builds it from the components' fact ids on first
+    access.
     """
 
     def __init__(
@@ -124,23 +130,42 @@ class CertK:
     # public API
     # ------------------------------------------------------------------ #
     def run(self, database: Database) -> CertKResult:
-        """Execute the fixpoint computation and report the outcome."""
-        fixpoint = self._seeded(database)
-        result = CertKResult(fixpoint.solve(), self.k, iterations=fixpoint.processed)
-        # Only the run's facts and antichain outlive it, not the database.
-        result._pending = partial(_as_facts, fixpoint.facts, fixpoint.delta)
+        """Execute the fixpoint computation and report the outcome.
+
+        Reads the database's cached block partition: a component whose
+        ``Cert_k`` outcome is memoised is not run again, and a memoised
+        certain one decides the run at once.  The rest run smallest first,
+        each memoising its outcome on its record, up to the first certain
+        one.
+        """
+        k = self.k
+        components = block_partition(self.query, database).components
+        stale: List[BlockComponent] = []
+        for component in components:
+            outcome = component.memo.get(k)
+            if outcome is None:
+                stale.append(component)
+            elif outcome[0]:
+                return CertKResult(True, k, {frozenset()})
+        graph = build_solution_graph(self.query, database)
+        processed = 0
+        block_by_id = database.block_by_id
+        for component in sorted(stale, key=attrgetter("size")):
+            facts = [fact for key in component.blocks for fact in block_by_id(key).facts]
+            fixpoint = _WorklistFixpoint(k, database, graph, facts)
+            certain = fixpoint.solve()
+            processed += fixpoint.processed
+            component.memo[k] = (certain, fixpoint.facts, fixpoint.delta)
+            if certain:
+                return CertKResult(True, k, {frozenset()}, processed)
+        result = CertKResult(False, k, iterations=processed)
+        # Only the components' facts and antichains outlive the run.
+        result._pending = partial(_as_facts, [component.memo[k] for component in components])
         return result
 
     def is_certain(self, database: Database) -> bool:
         """Boolean wrapper for :meth:`run` (the paper's ``D |= Cert_k(q)``)."""
         return self.run(database).certain
-
-    # ------------------------------------------------------------------ #
-    # seeding
-    # ------------------------------------------------------------------ #
-    def _seeded(self, database: Database) -> "_WorklistFixpoint":
-        """A fixpoint seeded off the cached solution graph, not yet solved."""
-        return _WorklistFixpoint(self.k, database, build_solution_graph(self.query, database))
 
     def _initial_delta(self, database: Database) -> Set[KSet]:
         """Minimal k-sets satisfying the query: solution pairs and self-solutions.
@@ -150,8 +175,9 @@ class CertK:
         ``k >= 2``, solution-graph edges across two blocks avoiding self-loops
         seed pairs.
         """
-        fixpoint = self._seeded(database)
-        return _as_facts(fixpoint.facts, chain.from_iterable(fixpoint.groups))
+        graph = build_solution_graph(self.query, database)
+        fixpoint = _WorklistFixpoint(self.k, database, graph, database.facts())
+        return _as_facts([(False, fixpoint.facts, fixpoint.seeds)])
 
 
 class _WorklistFixpoint:
@@ -195,33 +221,26 @@ class _WorklistFixpoint:
     a pair can only be dominated by a singleton inside it, i.e. by one of
     its endpoints being a self-loop, which the rule excludes.  Key-equal
     endpoints are excluded because a k-set holds at most one fact per block.
-    So the seeds need no domination checks, and each group below lists its
+    So the seeds need no domination checks, and ``seeds`` lists the
     singletons first (they are the closest to deriving the empty set).
     Self-loops take ids ``0 .. L-1``, and a non-self-loop fact is interned
     when its adjacency is visited, so each edge is collected once, from its
     later-interned endpoint.
 
-    Seeding collects the seeds without storing them: a union-find over the
-    run's block indices joins the two blocks of every seed pair, and each
-    resulting *component* keeps its seeds as one group.  A component refines a
-    ``q``-connected block component of Proposition 10.6 (a solution through
-    a self-loop or inside a block seeds nothing, so it joins nothing).  No
-    search step leaves a component: every seed lies in one, and a candidate
-    is a stored set ``S`` minus a member ``u``, extended by witnesses of a
-    member of ``block(u)``, which by induction lie in ``S``'s component.
-    Coverage tests, completion masks and witnesses of a component therefore
-    only ever see its own stored sets, and ``Δ_k`` is the disjoint union of
-    the components' fixpoints (a set spanning two components is never
-    minimal, and a block whose members are all singletons derives the empty
-    set on its own).  :meth:`solve` stores one group's seeds and drains the
-    worklist before storing the next, smallest group (by seed count) first,
-    ties in first-seen order, and returns at the first group that derives
-    the empty set: the order only decides when the empty set appears.  A
-    run that finds none has run every group, so ``delta`` is the whole
-    antichain, and ``processed`` always counts the insertions of the groups
-    visited.  The worst case is a certain database whose only certain
-    component is the largest: every smaller one runs first, which is still
-    at most the work of a non-certain run.
+    A run seeds from the facts it is given: those of one ``q``-connected
+    block component of Proposition 10.6, as the maintained partition lists
+    it (:class:`CertK` reads every component's seeds only to report them).
+    No search step leaves a component: every seed lies in one (a seed pair
+    is a solution, which joins its blocks), and a candidate is a stored set
+    ``S`` minus a member ``u``, extended by witnesses of a member of
+    ``block(u)``, which by induction lie in ``S``'s component.  Coverage
+    tests, completion masks and witnesses of a component therefore only ever
+    see its own stored sets, and ``Δ_k`` is the disjoint union of the
+    components' fixpoints (a set spanning two components is never minimal,
+    and a block whose members are all singletons derives the empty set on
+    its own).  A run over one component thus computes exactly that
+    component's part of ``Δ_k``, whatever the rest of the database holds,
+    which is what lets :class:`CertK` memoise it per component.
 
     The antichain does not depend on which uncovered block member is taken
     as the pivot.  When ``S`` is processed every witness of a firing ``C`` is
@@ -234,7 +253,9 @@ class _WorklistFixpoint:
     insertion that later supplies the witness is processed in its turn).
     """
 
-    def __init__(self, k: int, database: Database, graph: SolutionGraph) -> None:
+    def __init__(
+        self, k: int, database: Database, graph: SolutionGraph, facts: List[Fact]
+    ) -> None:
         self.k = k
         self._database = database
         # Per-run interning: id → fact, id → (block index, position bit),
@@ -254,33 +275,30 @@ class _WorklistFixpoint:
         self.queue: Deque[IdSet] = deque()
         self.processed = 0
         self.empty_derived = False
-        #: The seeds, one group per component, smallest group first.
-        self.groups = self._seed(graph)
+        #: The seeds read off ``facts``' solutions, singletons first.
+        self.seeds = self._seed(graph, facts)
 
-    def _seed(self, graph: SolutionGraph) -> List[List[IdSet]]:
-        """Collect the seeds read off ``graph``, grouped by component."""
+    def _seed(self, graph: SolutionGraph, facts: List[Fact]) -> List[IdSet]:
+        """Collect the seeds of ``facts`` read off ``graph``."""
         intern = self._intern
-        seeds: List[IdSet] = [(intern(fact),) for fact in graph.self_loops]
-        loops = len(seeds)
-        block_of = self._block_of
+        loops = graph.self_loops
+        seeds: List[IdSet] = [(intern(fact),) for fact in facts if fact in loops]
         if self.k >= 2:
+            count = len(seeds)
             ids = self._ids
-            for first, adjacent in graph.edges.items():
-                if not adjacent or first in ids:  # isolated, or a self-loop
+            block_of = self._block_of
+            edges = graph.edges
+            for fact in facts:
+                adjacent = edges.get(fact)
+                if not adjacent or fact in loops:  # isolated, or a self-loop
                     continue
-                later = intern(first)
+                later = intern(fact)
                 block = block_of[later]
-                for second in adjacent:
-                    earlier = ids.get(second)
-                    if earlier is not None and earlier >= loops and block_of[earlier] != block:
+                for other in adjacent:
+                    earlier = ids.get(other)
+                    if earlier is not None and earlier >= count and block_of[earlier] != block:
                         seeds.append((earlier, later))
-        parent = list(range(len(self._members)))
-        for earlier, later in seeds[loops:]:
-            parent[find_root(parent, block_of[earlier])] = find_root(parent, block_of[later])
-        groups: Dict[int, List[IdSet]] = {}
-        for seed in seeds:
-            groups.setdefault(find_root(parent, block_of[seed[0]]), []).append(seed)
-        return sorted(groups.values(), key=len)
+        return seeds
 
     # ------------------------------------------------------------------ #
     # interning
@@ -319,13 +337,10 @@ class _WorklistFixpoint:
     # driver
     # ------------------------------------------------------------------ #
     def solve(self) -> bool:
-        """Run the groups smallest first; stop at the first that derives ``()``."""
-        for group in self.groups:
-            for member in group:
-                self._store(member)
-            self._drain()
-            if self.empty_derived:
-                break
+        """Store the seeds and drain the worklist; whether ``()`` was derived."""
+        for seed in self.seeds:
+            self._store(seed)
+        self._drain()
         return self.empty_derived
 
     def _drain(self) -> None:
@@ -425,9 +440,17 @@ class _WorklistFixpoint:
         self.queue.append(member)
 
 
-def _as_facts(facts: List[Fact], members: Iterable[IdSet]) -> Set[KSet]:
-    """Per-run id tuples as ``Fact`` frozensets (``facts`` maps id → fact)."""
-    return {frozenset(facts[i] for i in member) for member in members}
+def _as_facts(outcomes: Iterable[Tuple[bool, List[Fact], Iterable[IdSet]]]) -> Set[KSet]:
+    """Finished fixpoints' id tuples as ``Fact`` frozensets.
+
+    Each outcome is ``(certain, facts, members)``, ``facts`` mapping its own
+    run's ids to facts.
+    """
+    return {
+        frozenset(facts[i] for i in member)
+        for _, facts, members in outcomes
+        for member in members
+    }
 
 
 def _subsets(ids: IdSet) -> Tuple[IdSet, ...]:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..db.fact_store import BlockId, Database
-from ..eval.deltas import DeltaUnsupported, FactDelta, graph_maintainer
-from ..graphs.components import UnionFind, connected_components
+from ..eval.deltas import FactDelta, graph_maintainer
+from ..graphs.components import connected_components
 from .query import TwoAtomQuery
 from .terms import Fact
 
@@ -35,8 +35,9 @@ class SolutionGraph:
     spliced in by :class:`~repro.eval.deltas.SolutionGraphMaintainer` (see
     :meth:`apply_delta`).  The graph keeps no decomposition of its own:
     :meth:`components` and :meth:`clique_map` are computed on demand, and
-    the maintained partition the answer path reads is the matching's (see
-    :class:`~repro.core.matching.BipartiteGraphMaintainer`).
+    the maintained partitions the answer path reads are the block
+    components ``Cert_k`` runs on (:class:`BlockComponentMaintainer`) and
+    the matching's (:class:`~repro.core.matching.BipartiteGraphMaintainer`).
     """
 
     facts: Dict[Fact, None]
@@ -216,78 +217,139 @@ def build_solution_graph_naive(query: TwoAtomQuery, database: Database) -> Solut
     return solution_graph_from_pairs(facts, pairs())
 
 
-class BlockComponentState:
-    """The delta-maintained block-level union-find of Proposition 10.6.
+class BlockComponent:
+    """One ``q``-connected block component of Proposition 10.6.
 
-    Holds the union-find over block ids (two blocks are merged whenever some
-    facts of theirs form a solution) plus a memo of the materialised
-    component sub-databases.  The union-find survives fact additions — the
-    maintainer unions in only the new fact's solution pairs — while the memo
-    is dropped whenever the partition may have changed.
+    ``blocks`` lists its block ids, ``size`` counts its facts, and ``memo``
+    maps ``k`` to the component's finished ``Cert_k`` fixpoint as
+    ``(certain, facts, antichain)`` (see :meth:`repro.core.certk.CertK.run`).
+    A record is never edited: a delta that touches the component retires it
+    and derives a fresh one, so a live record's memo always describes the
+    component's current facts and solutions.
     """
 
-    __slots__ = ("union_find", "_components")
+    __slots__ = ("blocks", "size", "memo")
 
-    def __init__(self, union_find: UnionFind) -> None:
-        self.union_find = union_find
-        self._components: Optional[List[Database]] = None
+    def __init__(self, blocks: List[BlockId], size: int) -> None:
+        self.blocks = blocks
+        self.size = size
+        self.memo: Dict[int, tuple] = {}
+
+
+class BlockPartition:
+    """The partition of a database into :class:`BlockComponent` records.
+
+    ``component_of`` maps every block id to its record; ``components`` holds
+    the live records in creation order (a dict used as an ordered set).
+    """
+
+    __slots__ = ("component_of", "components", "_databases")
+
+    def __init__(self) -> None:
+        self.component_of: Dict[BlockId, BlockComponent] = {}
+        self.components: Dict[BlockComponent, None] = {}
+        self._databases: Optional[List[Database]] = None
 
     def materialize(self, database: Database) -> List[Database]:
-        """The component sub-databases of ``database``, memoised."""
-        if self._components is None:
-            components: Dict[object, Database] = {}
-            for block in database.blocks():
-                representative = self.union_find.find(block.block_id)
-                component = components.setdefault(representative, Database())
-                component.add_all(block.facts)
-            self._components = list(components.values())
-        return self._components
+        """The component sub-databases of ``database``, memoised until a delta."""
+        if self._databases is None:
+            block_by_id = database.block_by_id
+            self._databases = [
+                Database(fact for key in component.blocks for fact in block_by_id(key).facts)
+                for component in self.components
+            ]
+        return self._databases
 
 
 class BlockComponentMaintainer:
-    """Builds and delta-maintains the block-level union-find of one query.
+    """Builds and delta-maintains the :class:`BlockPartition` of one query.
 
-    Doubles as the cache *builder* (:meth:`build`, deriving the union-find
-    from the — itself delta-maintained — solution graph) and the cache
-    *maintainer* (``__call__``): a fact addition probes the index for the new
-    fact's solution pairs only and unions their blocks in, instead of
-    re-running the union-find over every edge of the graph.  Removals can
-    split components, which a union-find cannot undo, so they raise
-    :class:`~repro.eval.deltas.DeltaUnsupported` and fall back to a rebuild —
-    the rebuild still reuses the delta-maintained graph, so the expensive
-    pair discovery is never repeated.
+    Doubles as the cache *builder* (:meth:`build`: a breadth-first search
+    over blocks on the delta-maintained solution graph, where a block
+    reaches the blocks of its facts' neighbours) and the cache *maintainer*
+    (``__call__``).  Adds and removes share one path, reconciled against the
+    database's final state like
+    :class:`~repro.core.matching.BipartiteGraphMaintainer`: the changed
+    fact's block and every block of the record that block was in are
+    searched again, and a search reaching a block of another live record
+    retires that record and searches all of its blocks too — one write can
+    merge part of a component into another while splitting the rest off, so
+    re-deriving only the reached blocks would lose the rest.  Every retired
+    record's blocks land in fresh records or leave with their last fact.
+    Records no delta reaches keep their identity and their memo, and the
+    maintainer never raises :class:`~repro.eval.deltas.DeltaUnsupported`.
     """
 
     def __init__(self, query: TwoAtomQuery) -> None:
         self.query = query
-        self._graph_maintainer = graph_maintainer(query)
 
-    def build(self, database: Database) -> BlockComponentState:
+    def build(self, database: Database) -> BlockPartition:
         graph = build_solution_graph(self.query, database)
-        union_find: UnionFind = UnionFind(block.block_id for block in database.blocks())
-        for fact, adjacent in graph.edges.items():
-            for other in adjacent:
-                union_find.union(fact.block_id(), other.block_id())
-        for fact in graph.self_loops:
-            union_find.add(fact.block_id())
-        return BlockComponentState(union_find)
+        partition = BlockPartition()
+        for block in database.blocks():
+            if block.block_id not in partition.component_of:
+                self._derive(database, graph, partition, block.block_id, [])
+        return partition
 
     def __call__(
-        self, database: Database, state: BlockComponentState, delta: FactDelta
-    ) -> BlockComponentState:
-        if not delta.is_add:
-            raise DeltaUnsupported(
-                "a fact removal can split q-connected block components"
-            )
-        fact = delta.fact
-        union_find = state.union_find
-        union_find.add(fact.block_id())
-        for first, second in self._graph_maintainer.pairs_of(database, fact):
-            union_find.add(first.block_id())
-            union_find.add(second.block_id())
-            union_find.union(first.block_id(), second.block_id())
-        state._components = None
-        return state
+        self, database: Database, partition: BlockPartition, delta: FactDelta
+    ) -> BlockPartition:
+        graph = build_solution_graph(self.query, database)
+        key = delta.fact.block_id()
+        pending = [key]
+        _retire(partition, partition.component_of.get(key), pending)
+        while pending:
+            key = pending.pop()
+            if partition.component_of.get(key) in partition.components:
+                continue  # already re-derived: queued blocks had retired records
+            if database.block_by_id(key) is None:  # its last fact left
+                partition.component_of.pop(key, None)
+                continue
+            self._derive(database, graph, partition, key, pending)
+        partition._databases = None
+        return partition
+
+    @staticmethod
+    def _derive(
+        database: Database,
+        graph: SolutionGraph,
+        partition: BlockPartition,
+        start: BlockId,
+        pending: List[BlockId],
+    ) -> None:
+        """Record the current component of block ``start`` afresh.
+
+        Live records it overlaps are retired, their blocks queued on
+        ``pending``.
+        """
+        edges = graph.edges
+        blocks = [start]
+        seen = {start}
+        size = 0
+        for key in blocks:  # grows while it is walked: a breadth-first search
+            facts = database.block_by_id(key).facts
+            size += len(facts)
+            for fact in facts:
+                for other in edges.get(fact, _NO_FACTS):
+                    reached = other.block_id()
+                    if reached not in seen:
+                        seen.add(reached)
+                        blocks.append(reached)
+        record = BlockComponent(blocks, size)
+        component_of = partition.component_of
+        for key in blocks:
+            _retire(partition, component_of.get(key), pending)
+            component_of[key] = record
+        partition.components[record] = None
+
+
+def _retire(
+    partition: BlockPartition, record: Optional[BlockComponent], pending: List[BlockId]
+) -> None:
+    """Drop a live ``record`` and queue its blocks for re-derivation."""
+    if record is not None and record in partition.components:
+        del partition.components[record]
+        pending.extend(record.blocks)
 
 
 _BLOCK_COMPONENT_MAINTAINERS: Dict[TwoAtomQuery, BlockComponentMaintainer] = {}
@@ -303,6 +365,14 @@ def block_component_maintainer(query: TwoAtomQuery) -> BlockComponentMaintainer:
     return maintainer
 
 
+def block_partition(query: TwoAtomQuery, database: Database) -> BlockPartition:
+    """The cached, delta-maintained :class:`BlockPartition` of ``database``."""
+    maintainer = block_component_maintainer(query)
+    return database.cached(
+        ("q_block_components", query), maintainer.build, maintainer=maintainer
+    )
+
+
 def q_connected_block_components(
     query: TwoAtomQuery, database: Database
 ) -> List[Database]:
@@ -313,15 +383,10 @@ def q_connected_block_components(
     relation.  Every returned component is the sub-database induced by the
     blocks of one equivalence class (so the components partition ``D``).
 
-    The decomposition is cached on the database (treat the returned
-    sub-databases as read-only) and maintained under the delta pipeline: a
-    fact addition is absorbed by unioning in only that fact's solution pairs
-    (see :class:`BlockComponentMaintainer`), a removal falls back to redoing
-    the block-level union-find over the delta-maintained solution graph — in
-    neither case is the pair discovery repeated.
+    A view over the cached :func:`block_partition`, which a fact delta of
+    either direction updates in place by re-deriving only the components
+    the fact touches (see :class:`BlockComponentMaintainer`).  The
+    sub-databases are memoised until the next delta; treat them as
+    read-only.
     """
-    maintainer = block_component_maintainer(query)
-    state: BlockComponentState = database.cached(
-        ("q_block_components", query), maintainer.build, maintainer=maintainer
-    )
-    return state.materialize(database)
+    return block_partition(query, database).materialize(database)

@@ -24,8 +24,12 @@ solution graph ``G(D, q)`` by discovering only the solution pairs the changed
 fact can touch (two compiled :class:`~repro.eval.matcher.AtomMatcher`
 probes of the database's incremental
 :class:`~repro.eval.fact_index.FactIndex`, one per atom role) and splicing
-them in or out.  ``Cert_k`` keeps no structure of its own: it seeds its
-fixpoint straight off this graph (see :mod:`repro.core.certk`).
+them in or out.  On top of the graph,
+:class:`~repro.core.solutions.BlockComponentMaintainer` keeps the partition
+into ``q``-connected block components, whose records carry each
+component's memoised ``Cert_k`` outcome: ``Cert_k`` seeds a component's
+fixpoint straight off this graph and reruns only the components a write
+touched (see :mod:`repro.core.certk`).
 
 Replay happens lazily at read time, which batches arbitrarily interleaved
 mutations.  Maintainers therefore probe the database's *current* index (the
@@ -43,8 +47,10 @@ structure (cache key head)    add        remove
 ``solution_graph``            maintained maintained (guard: a replay naming a
                                          fact absent from the cached graph
                                          aborts to a rebuild)
-``q_block_components``        maintained **rebuild** — a removal can split a
-                                         union-find component
+``q_block_components``        maintained maintained — both directions
+                                         re-derive only the touched
+                                         components; see
+                                         :class:`repro.core.solutions.BlockComponentMaintainer`
 ``bipartite_matching``        maintained maintained — both directions; see
                                          :class:`repro.core.matching.BipartiteGraphMaintainer`
 ``repair_oracle``             maintained maintained

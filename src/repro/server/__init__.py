@@ -23,6 +23,11 @@ resident and its answers reusable:
   :class:`~repro.server.fleet.FleetDispatcher` owns the same transports and
   fans requests out to worker processes with dataset-affinity routing.
 
+Every export loads its submodule on first use (PEP 562), so an in-process
+:class:`~repro.server.app.CQAServer` never imports the transports, the
+client or the fleet, nor asyncio, ``http.server``, ``ssl`` and
+``urllib.request`` behind them.
+
 Quickstart::
 
     from repro.server import CQAServer, start_http_server
@@ -37,51 +42,48 @@ Quickstart::
     http.shutdown()
 """
 
-from .aio import (
-    AsyncHttpServer,
-    AsyncJsonlServer,
-    start_async_http_server,
-    start_async_jsonl_server,
-)
-from .app import PING_OP, STATS_OP, AnswerCacheStrategy, CachingSession, CQAServer
-from .cache import AnswerCache, CacheKey, persistable_key, settings_digest
-from .client import JsonlClient, call_http, call_jsonl, fetch_stats, workload_lines
-from .fleet import FleetDispatcher, FleetWorker, spawn_fleet, spawn_worker
-from .http_transport import HttpServer, start_http_server
-from .jsonl import JsonlServer, serve_stdio, serve_stream, start_jsonl_server
-from .persistent_cache import PersistentAnswerCache
-from .pool import ReadWriteLock, SessionPool
+from importlib import import_module
 
-__all__ = [
-    "AnswerCache",
-    "AnswerCacheStrategy",
-    "AsyncHttpServer",
-    "AsyncJsonlServer",
-    "CacheKey",
-    "CachingSession",
-    "CQAServer",
-    "JsonlClient",
-    "PING_OP",
-    "FleetDispatcher",
-    "FleetWorker",
-    "PersistentAnswerCache",
-    "ReadWriteLock",
-    "SessionPool",
-    "HttpServer",
-    "JsonlServer",
-    "STATS_OP",
-    "call_http",
-    "call_jsonl",
-    "fetch_stats",
-    "persistable_key",
-    "serve_stdio",
-    "serve_stream",
-    "settings_digest",
-    "spawn_fleet",
-    "spawn_worker",
-    "start_async_http_server",
-    "start_async_jsonl_server",
-    "start_http_server",
-    "start_jsonl_server",
-    "workload_lines",
-]
+#: Each export's submodule, imported by :func:`__getattr__` on first use.
+_EXPORTS = {
+    "AsyncHttpServer": "aio",
+    "AsyncJsonlServer": "aio",
+    "start_async_http_server": "aio",
+    "start_async_jsonl_server": "aio",
+    "PING_OP": "app",
+    "STATS_OP": "app",
+    "AnswerCacheStrategy": "app",
+    "CachingSession": "app",
+    "CQAServer": "app",
+    "AnswerCache": "cache",
+    "CacheKey": "cache",
+    "persistable_key": "cache",
+    "settings_digest": "cache",
+    "JsonlClient": "client",
+    "call_http": "client",
+    "call_jsonl": "client",
+    "fetch_stats": "client",
+    "workload_lines": "client",
+    "FleetDispatcher": "fleet",
+    "FleetWorker": "fleet",
+    "spawn_fleet": "fleet",
+    "spawn_worker": "fleet",
+    "HttpServer": "http_transport",
+    "start_http_server": "http_transport",
+    "JsonlServer": "jsonl",
+    "serve_stdio": "jsonl",
+    "serve_stream": "jsonl",
+    "start_jsonl_server": "jsonl",
+    "PersistentAnswerCache": "persistent_cache",
+    "ReadWriteLock": "pool",
+    "SessionPool": "pool",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

@@ -16,6 +16,7 @@ from repro import (
     paper_queries,
     parse_query,
 )
+from repro.core.solutions import build_solution_graph
 from repro.db.generators import random_solution_database
 
 
@@ -205,11 +206,12 @@ class TestCertKEarlyExit:
 
     The instances are a non-certain core (see
     :class:`TestTheorem61BeyondNaiveSizes`) with the gadget inserted at a
-    random position.  The gadget is a component of its own with one seed
-    pair, and it derives the empty set after two insertions; a one-seed core
-    component seen earlier may run first, at one insertion.  One worklist
-    over every component's seeds would process over a hundred insertions on
-    these instances before the empty set appears.
+    random position.  The gadget is a block component of its own, two facts
+    with one seed pair, and it derives the empty set after two insertions; a
+    core component no larger and seen earlier (one block with its escape)
+    may run first, at one insertion.  One worklist over every component's
+    seeds would process over a hundred insertions on these instances before
+    the empty set appears.
     """
 
     SHAPES = {"q3": (80, 20, 50), "q4": (110, 20, 8), "q5": (130, 30, 18), "q6": (130, 30, 18)}
@@ -228,3 +230,54 @@ class TestCertKEarlyExit:
         result = CertK(query, k).run(Database(facts))
         assert result.certain
         assert result.iterations <= 3
+
+
+class TestCertKMemo:
+    """``CertK`` memoises each block component's outcome on the database's
+    cached partition, and a write retires only the components it touches.
+
+    The core is non-certain with ten block components (see
+    :class:`TestCertKEarlyExit`), so a cold run visits every one of them.
+    """
+
+    def setup_method(self):
+        self.query = paper_queries()["q4"]
+        self.db = escaped_core(self.query, (110, 20, 8), random.Random(0))
+        self.runner = CertK(self.query, 2)
+
+    def fresh(self):
+        return CertK(self.query, 2).run(Database(self.db.facts()))
+
+    def test_a_second_run_without_a_write_processes_nothing(self):
+        cold = self.runner.run(self.db)
+        assert not cold.certain and cold.iterations > 0
+        warm = self.runner.run(self.db)
+        assert warm.iterations == 0
+        assert not warm.certain
+        assert warm.delta == cold.delta
+
+    def test_a_write_reruns_only_its_component(self):
+        cold = self.runner.run(self.db)
+        graph = build_solution_graph(self.query, self.db)
+        inside = next(fact for fact in self.db.facts() if graph.edges[fact])
+        width = self.query.schema.arity - self.query.schema.key_size
+        values = inside.block_id()[1] + tuple(range(3 * FRESH, 3 * FRESH + width))
+        self.db.add(Fact(self.query.schema, values))  # a fresh fact in a linked block
+        after = self.runner.run(self.db)
+        assert 0 < after.iterations < cold.iterations
+        fresh = self.fresh()
+        assert after.certain == fresh.certain
+        assert after.delta == fresh.delta
+
+    def test_the_gadget_toggles_the_verdict(self):
+        self.runner.run(self.db)
+        first, second = gadget(self.query)
+        self.db.add_all((first, second))
+        certain = self.runner.run(self.db)
+        assert certain.certain and 0 < certain.iterations <= 2  # the gadget alone
+        memoised = self.runner.run(self.db)
+        assert memoised.certain and memoised.iterations == 0
+        self.db.remove(second)
+        after = self.runner.run(self.db)
+        assert not after.certain
+        assert after.delta == self.fresh().delta

@@ -12,7 +12,8 @@ path to the from-scratch construction it replaces:
 * batched replay — arbitrary mutation bursts (including add-then-remove and
   remove-then-re-add of the same fact) absorbed in one read;
 * fallback behaviour — backlog overflow and maintainerless entries rebuild;
-* the memoised component/clique decompositions under deltas;
+* the memoised component/clique decompositions under deltas, and the
+  maintained block partition under write bursts;
 * the sharded parallel batch engine vs the sequential stream;
 * the ``Cert_k`` seeds of a SQL-primed solution graph vs the naive seeding;
 * the :class:`RepairOracle` vs per-repair ``satisfied_by`` scans.
@@ -248,7 +249,7 @@ class TestSolutionGraphDeltas:
                     frozenset(component.facts()) for component in components
                 } == naive_partition(query, database)
 
-    def test_q_block_union_find_is_maintained_across_adds(self):
+    def test_q_block_partition_is_maintained_in_place(self):
         query = QUERIES["easy_cert2"]
         schema = query.schema
         database = Database([Fact(schema, (1, 2)), Fact(schema, (7, 8))])
@@ -258,14 +259,44 @@ class TestSolutionGraphDeltas:
         state = database.cached(key, maintainer.build)
         database.add(Fact(schema, (2, 3)))  # joins (1,2)'s component
         assert len(q_connected_block_components(query, database)) == 2
-        # The add was absorbed in place: same state, same union-find.
+        # The add was absorbed in place: same state.
         assert database.cached(key, maintainer.build) is state
         database.remove(Fact(schema, (2, 3)))
         assert sorted(
             len(component) for component in q_connected_block_components(query, database)
         ) == [1, 1]
-        # The removal forced a rebuild (a union-find cannot split).
-        assert database.cached(key, maintainer.build) is not state
+        # The removal was absorbed in place too: the split re-derives only
+        # the touched component, and nothing was rebuilt.
+        assert database.cached(key, maintainer.build) is state
+        stats = database.derived_cache_stats()["q_block_components"]
+        assert stats["rebuilds"] == 0
+        assert stats["unsupported_deltas"] == 0
+
+    def test_a_burst_that_merges_and_splits_keeps_every_block(self):
+        # q3 joins R(x, y) to R(y, z).  The blocks c1, c2, c3 form one
+        # component and a another.  One burst adds R(a, c1), which merges a
+        # with c1 and c2, and removes R(c2, c3), which splits c3 off: the
+        # record the merge reaches must be re-derived whole, or c3 is lost.
+        query = QUERIES["easy_cert2"]
+        schema = query.schema
+
+        def r(key, value):
+            return Fact(schema, (key, value))
+
+        database = Database(
+            [r("a", "q"), r("c1", "c2"), r("c2", "d"), r("c2", "c3"), r("c3", "e")]
+        )
+        assert len(q_connected_block_components(query, database)) == 2  # warm
+        database.add(r("a", "c1"))
+        database.remove(r("c2", "c3"))
+        components = q_connected_block_components(query, database)
+        assert {frozenset(component.facts()) for component in components} == {
+            frozenset({r("a", "q"), r("a", "c1"), r("c1", "c2"), r("c2", "d")}),
+            frozenset({r("c3", "e")}),
+        }
+        stats = database.derived_cache_stats()["q_block_components"]
+        assert stats["rebuilds"] == 0
+        assert stats["unsupported_deltas"] == 0
 
     def test_q_block_components_cached_and_refreshed(self):
         query = QUERIES["easy_cert2"]

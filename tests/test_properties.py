@@ -4,6 +4,7 @@ import itertools
 import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 from repro import (
     Atom,
@@ -27,9 +28,10 @@ from repro import (
 )
 from repro.core.branching import branching_triples, g_elements
 from repro.core.classification import Method
-from repro.core.solutions import solution_graph_from_pairs
+from repro.core.solutions import block_partition, solution_graph_from_pairs
 from repro.db.fact_store import is_repair_of
 from repro.db.repairs import iter_repairs
+from repro.graphs.components import UnionFind
 from repro.logic.cnf import parse_dimacs_like, random_restricted_three_sat, random_three_sat
 from repro.logic.dpll import DpllSolver, brute_force_satisfiable, is_satisfiable
 
@@ -443,6 +445,96 @@ class TestCertKMatchesNaive:
         for write in writes:
             apply_write(db, query.schema, write)
             check()
+
+
+def naive_partition(query, db):
+    """Block components from scratch: a union-find over the naive graph."""
+    union_find = UnionFind(block.block_id for block in db.blocks())
+    for fact, adjacent in build_solution_graph_naive(query, db).edges.items():
+        for other in adjacent:
+            union_find.union(fact.block_id(), other.block_id())
+    partition = {}
+    for block in db.blocks():
+        partition.setdefault(union_find.find(block.block_id), set()).add(block.block_id)
+    return {frozenset(blocks) for blocks in partition.values()}
+
+
+class PartitionUnderWrites(RuleBasedStateMachine):
+    """One database of q1..q7 under single writes, write bursts and reads.
+
+    A burst of 2-5 writes reaches the cached structures as one batch on the
+    next read, including a fact added and removed within it.  Every read
+    holds the maintained block partition to a from-scratch build, the memoised
+    ``CertK`` to ``NaiveCertK`` (verdict and antichain), and the engine to
+    brute force.
+    """
+
+    LIMIT = 10  # facts; keeps NaiveCertK at k = 3 and brute force cheap
+
+    @initialize(name=st.sampled_from(sorted(paper_queries())), data=st.data())
+    def start(self, name, data):
+        self.query = paper_queries()[name]
+        self.values = st.tuples(*[st.integers(0, 2)] * self.query.schema.arity)
+        rows = data.draw(st.lists(self.values, max_size=self.LIMIT))
+        self.db = Database(Fact(self.query.schema, row) for row in rows)
+        self.engine = CertainEngine(self.query)
+        self.runners = [(CertK(self.query, k), NaiveCertK(self.query, k)) for k in (1, 2, 3)]
+        self.read()
+
+    def write(self, data, op):
+        if op == "remove":
+            if len(self.db):
+                facts = self.db.facts()
+                self.db.remove(facts[data.draw(st.integers(0, len(facts) - 1))])
+            return
+        if len(self.db) >= self.LIMIT:
+            return
+        fact = Fact(self.query.schema, data.draw(self.values))
+        self.db.add(fact)
+        if op == "flash":  # added and removed again before any read
+            self.db.remove(fact)
+
+    @rule(data=st.data())
+    def add(self, data):
+        self.write(data, "add")
+
+    @precondition(lambda self: len(self.db) > 0)
+    @rule(data=st.data())
+    def remove(self, data):
+        self.write(data, "remove")
+
+    @rule(
+        data=st.data(),
+        ops=st.lists(st.sampled_from(("add", "remove", "flash")), min_size=2, max_size=5),
+    )
+    def burst(self, data, ops):
+        for op in ops:
+            self.write(data, op)
+
+    @rule()
+    def read(self):
+        query, db = self.query, self.db
+        partition = block_partition(query, db)
+        assert {frozenset(c.blocks) for c in partition.components} == naive_partition(query, db)
+        assert set(partition.component_of) == {block.block_id for block in db.blocks()}
+        for component in partition.components:
+            assert all(partition.component_of[key] is component for key in component.blocks)
+            assert component.size == sum(len(db.block_by_id(key)) for key in component.blocks)
+        for runner, oracle in self.runners:
+            memoised, naive = runner.run(db), oracle.run(db)
+            assert memoised.certain == naive.certain
+            assert memoised.delta == naive.delta
+        if db.repair_count() <= 4096:
+            assert self.engine.explain(db).certain == certain_bruteforce(query, db)
+        stats = db.derived_cache_stats()["q_block_components"]
+        assert stats["rebuilds"] == 0
+        assert stats["unsupported_deltas"] == 0
+
+
+TestPartitionUnderWrites = PartitionUnderWrites.TestCase
+TestPartitionUnderWrites.settings = settings(
+    _SETTINGS, max_examples=60, stateful_step_count=20
+)
 
 
 class TestSatSubstrate:
