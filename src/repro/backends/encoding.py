@@ -18,11 +18,11 @@ shipping a single row.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from typing import List, Sequence, Tuple
 
 from ..core.terms import Element
+from ..hashing import blake2b
 
 #: Characters with structural meaning in the encoding, escaped inside scalars.
 _STRUCTURAL_RE = re.compile(r"[\\()|]")
@@ -113,7 +113,7 @@ def parse_element(text: str, position: int) -> Tuple[Element, int]:
 # --------------------------------------------------------------------------- #
 def term_digest(encoded: str) -> str:
     """The interned-dictionary key of one canonical encoding."""
-    return hashlib.blake2b(
+    return blake2b(
         encoded.encode("utf-8"), digest_size=TERM_DIGEST_BYTES
     ).hexdigest()
 
@@ -121,5 +121,5 @@ def term_digest(encoded: str) -> str:
 def row_signature(digests: Sequence[str]) -> int:
     """A 32-bit signature of one fact row's digest tuple (order-sensitive)."""
     joined = "|".join(digests).encode("utf-8")
-    raw = hashlib.blake2b(joined, digest_size=ROW_SIGNATURE_BYTES).digest()
+    raw = blake2b(joined, digest_size=ROW_SIGNATURE_BYTES).digest()
     return int.from_bytes(raw, "big")

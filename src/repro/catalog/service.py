@@ -9,7 +9,11 @@ A :class:`CatalogService` sits between the wire dialect and a
   :class:`~repro.service.datasets.DatasetRef` — inline rows are
   content-addressed, so catalog datasets flow through every existing cache
   tier (fingerprint identity) and fleet route (rows digest) unchanged, and a
-  delta automatically invalidates by changing the content identity.
+  delta automatically invalidates by changing the content identity.  The
+  reference is built from the dataset's stored head (digest, version, fact
+  count; see :mod:`repro.catalog.store`) in one indexed read: its
+  fingerprint, stripe key, route and size hint need no rows, and the rows
+  load only when a cache miss resolves it.
 * **Ingest.**  CSV imports, inline-row loads and delta batches all funnel
   through :meth:`ingest_rows` / :meth:`ingest_csv` / :meth:`apply_delta`,
   each recording one import session (source, checksum, counts, timestamp)
@@ -19,7 +23,8 @@ A :class:`CatalogService` sits between the wire dialect and a
   facts (the envelope's ``witness`` strings) are traced back to the import
   sessions that introduced them; an answer without a witness carries the
   dataset's full import history — either way every catalog answer resolves
-  to at least one recorded import session.
+  to at least one recorded import session.  The history is memoised per
+  dataset version, so a repeated hit re-reads nothing.
 
 The ``catalog`` wire operation (:meth:`handle_payload`) is the server
 dialect: ``{"op": "catalog", "action": "create" | "ls" | "ingest" |
@@ -31,13 +36,13 @@ framing.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..hashing import blake2b
 from ..service.datasets import DatasetRef
 from ..service.envelope import Answer
-from .store import CatalogError, CatalogStore, row_key
+from .store import CatalogError, CatalogStore, Head, row_key
 
 #: The wire operation name (parallel to the server's ``stats``).
 CATALOG_OP = "catalog"
@@ -60,10 +65,39 @@ def split_spec(spec: str) -> Tuple[str, str]:
 
 def _rows_checksum(rows: Sequence[Sequence[object]]) -> str:
     """Content checksum of a row batch (order-insensitive, like the ref digest)."""
-    digest = hashlib.blake2b(digest_size=16)
+    digest = blake2b(digest_size=16)
     for key in sorted(row_key(values) for values in rows):
         digest.update(key.encode("utf-8"))
     return digest.hexdigest()
+
+
+class _CatalogRows(DatasetRef):
+    """A catalog dataset as an inline-rows reference, rows loaded on demand.
+
+    Until it is resolved, the reference knows only the dataset's stored head:
+    its fingerprint, stripe key and route come from the stored digest and its
+    size hint from the stored count — the values an inline-rows reference
+    over the same rows would report.  The first resolution reads the rows and
+    digests *them*, so a write racing a cache miss can never park the old
+    content's answer under the new content's digest, or the reverse.
+    """
+
+    def __init__(self, store: CatalogStore, spec: str, head: Head) -> None:
+        super().__init__(DatasetRef.ROWS, label=spec)
+        self.spec = spec
+        self.dataset_id, self._rows_digest, self.version, self._count = head
+        self._catalog = store
+
+    def size_hint(self) -> Optional[int]:
+        return self._count if self._rows is None else len(self._rows)
+
+    def _load(self, query, pushdown):
+        if self._rows is None:
+            self._rows = [
+                tuple(values) for values, _ in self._catalog.facts(self.dataset_id)
+            ]
+            self._rows_digest = None
+        return super()._load(query, pushdown)
 
 
 class CatalogService:
@@ -71,6 +105,8 @@ class CatalogService:
 
     def __init__(self, path: str) -> None:
         self.store = CatalogStore(path)
+        #: dataset id -> (version, import history at that version).
+        self._history: Dict[int, Tuple[int, List[Dict[str, object]]]] = {}
 
     @property
     def path(self) -> str:
@@ -136,7 +172,7 @@ class CatalogService:
             dataset_id,
             kind="csv",
             source=str(path),
-            checksum=hashlib.blake2b(data, digest_size=16).hexdigest(),
+            checksum=blake2b(data, digest_size=16).hexdigest(),
             add_rows=rows,
         )
 
@@ -167,18 +203,17 @@ class CatalogService:
     def delete_dataset(self, spec: str) -> Dict[str, object]:
         """Drop a dataset; returns the deleted summary plus its fingerprint.
 
-        The content fingerprint is computed from the rows the dataset held at
-        deletion time — the same identity an inline-rows reference over those
-        rows would carry — so the serving layer can evict every answer cache
-        entry (in-memory and persistent) derived from the deleted data.  A
-        dataset later re-created with identical rows is *recomputed*, never
-        served from stale cache.
+        The content fingerprint is the digest stored for the rows the dataset
+        held at deletion time — the same identity an inline-rows reference
+        over those rows would carry — so the serving layer can evict every
+        answer cache entry (in-memory and persistent) derived from the
+        deleted data.  A dataset later re-created with identical rows is
+        *recomputed*, never served from stale cache.
         """
         tenant, name = split_spec(spec)
         deleted = self.store.delete_dataset(tenant, name)
-        rows = deleted.pop("rows")
-        fingerprint = DatasetRef.inline_rows(rows, label=spec).fingerprint()
-        deleted["fingerprint"] = list(fingerprint) if fingerprint else None
+        deleted["fingerprint"] = [DatasetRef.ROWS, deleted.pop("digest")]
+        self._history.pop(deleted["id"], None)
         return deleted
 
     # ------------------------------------------------------------------ #
@@ -190,32 +225,40 @@ class CatalogService:
         Inline rows make the catalog transparent to the serving stack: the
         reference is content-addressed (cacheable in every tier, routable by
         the fleet ring), and a later ingest/delta yields a new rows digest —
-        stale cache entries become unreachable rather than wrong.
+        stale cache entries become unreachable rather than wrong.  It costs
+        one indexed read of the dataset's stored head; the rows load only if
+        the reference is resolved (see :class:`_CatalogRows`).
         """
         tenant, name = split_spec(spec)
-        dataset_id = self.store.dataset_id(tenant, name)
-        rows = [values for values, _ in self.store.facts(dataset_id)]
-        return DatasetRef.inline_rows(rows, label=spec)
+        return _CatalogRows(self.store, spec, self.store.head(tenant, name))
 
-    def annotate(self, answer: Answer, spec: str, schema=None) -> None:
+    def annotate(self, answer: Answer, ref: DatasetRef, schema=None) -> None:
         """Stamp ``answer.details["provenance"]`` with the ingest trail.
 
-        ``schema`` is the answered query's
+        ``ref`` is the reference :meth:`dataset_ref` returned for the
+        request; its dataset id and version select the import history, which
+        is memoised per version (the write counter never repeats) and handed
+        out as copies.  ``schema`` is the answered query's
         :class:`~repro.core.terms.RelationSchema`; with it, the envelope's
         witness facts (rendered ``R(keys|rest)`` strings) are matched back to
         catalog rows and their import sessions.  Without a witness — or when
         no witness fact matches — the block carries the dataset's full import
         history, so every catalog answer resolves to recorded sessions.
         """
-        tenant, name = split_spec(spec)
-        dataset_id = self.store.dataset_id(tenant, name)
-        sessions = self.store.sessions(dataset_id)
+        # Unlocked: requests racing on one dataset may each read the history
+        # and overwrite each other's entry; each still answers from the pair
+        # it read itself, so the race costs a read, never a wrong answer.
+        memo = self._history.get(ref.dataset_id)
+        if memo is None or memo[0] != ref.version:
+            memo = (ref.version, self.store.sessions(ref.dataset_id))
+            self._history[ref.dataset_id] = memo
+        sessions = [dict(session) for session in memo[1]]
         by_id = {session["id"]: session for session in sessions}
         deciding: Dict[str, int] = {}
         if answer.witness and schema is not None:
             rendered = {
                 _render_fact(schema, values): session_id
-                for values, session_id in self.store.facts(dataset_id)
+                for values, session_id in self.store.facts(ref.dataset_id)
             }
             for fact_text in answer.witness:
                 session_id = rendered.get(fact_text)
@@ -230,7 +273,7 @@ class CatalogService:
         else:
             selected = sessions
         answer.details["provenance"] = {
-            "dataset": spec,
+            "dataset": ref.spec,
             "deciding_facts": deciding,
             "import_sessions": selected,
         }

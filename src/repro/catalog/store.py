@@ -1,9 +1,9 @@
 """The SQLite file behind the dataset catalog.
 
-One :class:`CatalogStore` is one SQLite file holding the catalog's four
-tables — tenants, datasets, import sessions, facts — shared by every process
-that opens the same path (a fleet's workers all point at one catalog).  The
-file discipline is exactly the persistent answer cache's
+One :class:`CatalogStore` is one SQLite file holding the catalog's tables —
+tenants, datasets, import sessions, facts and dataset heads — shared by
+every process that opens the same path (a fleet's workers all point at one
+catalog).  The file discipline is exactly the persistent answer cache's
 (:mod:`repro.server.persistent_cache`):
 
 * **WAL mode** — workers read concurrently while one ingests;
@@ -27,6 +27,19 @@ inline-rows load, a delta batch — records one ``import_sessions`` row
 fact row carries the id of the session that introduced it.  A fact
 re-ingested by a later session keeps its original provenance (first writer
 wins, like the cache's ``INSERT OR IGNORE``).
+
+Content identity is recorded at write time too.  Each dataset has one
+``dataset_heads`` row — the digest an inline-rows reference over its current
+rows would carry (:func:`~repro.service.datasets.rows_digest`), its fact
+count, and a ``version`` drawn from a catalog-wide write counter in ``meta``
+— refreshed inside every transaction that changes the dataset.  A read
+learns a dataset's identity from :meth:`CatalogStore.head`, one indexed
+join, without touching its rows.  The counter is bumped by every write, so
+a version never repeats, not even when a deleted dataset's ids are reused;
+it starts from the clock, so a reset file does not repeat the old versions
+either.  A file written before the heads table existed is backfilled when
+it is opened, through the same refresh; opening a current file writes
+nothing, so it never waits on another process's write.
 """
 
 from __future__ import annotations
@@ -36,7 +49,9 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from ..service.datasets import rows_digest
 
 #: Bumped whenever the on-disk row shape changes; mismatching files reset.
 SCHEMA_VERSION = 1
@@ -76,7 +91,25 @@ CREATE TABLE IF NOT EXISTS meta (
     key    TEXT PRIMARY KEY,
     value  TEXT NOT NULL
 );
+CREATE TABLE IF NOT EXISTS dataset_heads (
+    dataset_id  INTEGER PRIMARY KEY REFERENCES datasets(id),
+    digest      TEXT NOT NULL,
+    version     INTEGER NOT NULL,
+    fact_count  INTEGER NOT NULL
+);
 """
+
+#: ``(dataset id, content digest, version, fact count)`` — one head row.
+Head = Tuple[int, str, int, int]
+
+#: One dataset's head by ``(tenant name, dataset name)``: one indexed join.
+_HEAD_SQL = (
+    "SELECT datasets.id, dataset_heads.digest, dataset_heads.version, "
+    "dataset_heads.fact_count FROM datasets "
+    "JOIN tenants ON tenants.id = datasets.tenant_id "
+    "JOIN dataset_heads ON dataset_heads.dataset_id = datasets.id "
+    "WHERE tenants.name=? AND datasets.name=?"
+)
 
 
 class CatalogError(ValueError):
@@ -90,6 +123,37 @@ def row_key(values: Sequence[object]) -> str:
     CSV delivers them, so ``[1, 2]`` and ``["1", "2"]`` name the same fact.
     """
     return json.dumps([str(value) for value in values], separators=(",", ":"))
+
+
+def _refresh_head(execute: Callable, dataset_id: int) -> int:
+    """Re-record one dataset's head inside the caller's transaction.
+
+    Draws the next write-counter value, digests the dataset's current rows
+    exactly as an inline-rows reference over them would, and returns the
+    fact count.  Every write path — and the backfill of an older file — goes
+    through here, so there is one definition of the stored identity.  The
+    counter bump comes first: it is a write, so the rows are read under the
+    write lock even when no earlier statement of the transaction wrote.
+    """
+    version = _next_version(execute)
+    rows = [
+        tuple(json.loads(row[0]))
+        for row in execute(
+            "SELECT row_json FROM facts WHERE dataset_id=?", (dataset_id,)
+        ).fetchall()
+    ]
+    execute(
+        "INSERT OR REPLACE INTO dataset_heads "
+        "(dataset_id, digest, version, fact_count) VALUES (?, ?, ?, ?)",
+        (dataset_id, rows_digest(rows), version, len(rows)),
+    )
+    return len(rows)
+
+
+def _next_version(execute: Callable) -> int:
+    """Bump the catalog-wide write counter (in the caller's transaction)."""
+    execute("UPDATE meta SET value = CAST(value AS INTEGER) + 1 WHERE key='writes'")
+    return int(execute("SELECT value FROM meta WHERE key='writes'").fetchone()[0])
 
 
 class CatalogStore:
@@ -131,6 +195,19 @@ class CatalogStore:
             elif row[0] != str(SCHEMA_VERSION):
                 conn.close()
                 raise sqlite3.DatabaseError(f"schema_version {row[0]!r}")
+            # Write only when something is missing: opening a current file
+            # must not wait on another process's write lock.
+            if conn.execute("SELECT 1 FROM meta WHERE key='writes'").fetchone() is None:
+                conn.execute(
+                    "INSERT OR IGNORE INTO meta (key, value) VALUES ('writes', ?)",
+                    (str(time.time_ns()),),
+                )
+            for (dataset_id,) in conn.execute(
+                "SELECT id FROM datasets WHERE id NOT IN "
+                "(SELECT dataset_id FROM dataset_heads)"
+            ).fetchall():
+                _refresh_head(conn.execute, dataset_id)
+            conn.commit()
             self._conn = conn
         except sqlite3.Error:
             self._conn = None
@@ -247,27 +324,27 @@ class CatalogStore:
                 raise CatalogError(
                     f"dataset {tenant}/{name} already exists"
                 ) from None
+            _refresh_head(self._execute, cursor.lastrowid)
             self._conn.commit()
             return {"id": cursor.lastrowid, "tenant": tenant, "name": name}
 
     def delete_dataset(self, tenant: str, name: str) -> Dict[str, object]:
         """Remove one dataset with its facts and import history, atomically.
 
-        Returns a summary carrying the rows the dataset held *before* the
-        delete, so the caller (the service layer) can compute the content
-        fingerprint of the deleted data and evict dependent cache entries.
-        Raises :class:`CatalogError` if the dataset does not exist.
+        Returns a summary carrying the stored digest and fact count of the
+        content the dataset held *before* the delete, so the caller (the
+        service layer) can evict every cache entry derived from it.  Raises
+        :class:`CatalogError` if the dataset does not exist.
         """
-        dataset_id = self.dataset_id(tenant, name)
         with self._lock:
-            rows = [
-                json.loads(row[0])
-                for row in self._execute(
-                    "SELECT row_json FROM facts "
-                    "WHERE dataset_id=? ORDER BY fact_key",
-                    (dataset_id,),
-                ).fetchall()
-            ]
+            # The counter bump is the transaction's first write, so the head
+            # read below already sees exactly what this delete removes.
+            _next_version(self._execute)
+            head = self._execute(_HEAD_SQL, (tenant, name)).fetchone()
+            if head is None:
+                self._conn.rollback()
+                raise CatalogError(f"unknown dataset {tenant}/{name}")
+            dataset_id, digest, _, count = head
             sessions = int(
                 self._execute(
                     "SELECT COUNT(*) FROM import_sessions WHERE dataset_id=?",
@@ -278,15 +355,18 @@ class CatalogStore:
             self._execute(
                 "DELETE FROM import_sessions WHERE dataset_id=?", (dataset_id,)
             )
+            self._execute(
+                "DELETE FROM dataset_heads WHERE dataset_id=?", (dataset_id,)
+            )
             self._execute("DELETE FROM datasets WHERE id=?", (dataset_id,))
             self._conn.commit()
         return {
             "id": dataset_id,
             "tenant": tenant,
             "name": name,
-            "facts": len(rows),
+            "facts": int(count),
             "import_sessions": sessions,
-            "rows": rows,
+            "digest": digest,
         }
 
     def dataset_id(self, tenant: str, name: str) -> int:
@@ -301,14 +381,28 @@ class CatalogStore:
             raise CatalogError(f"unknown dataset {tenant}/{name}")
         return int(row[0])
 
+    def head(self, tenant: str, name: str) -> Head:
+        """``(dataset id, content digest, version, fact count)`` in one read.
+
+        The answer path's only catalog read on a cache hit: one indexed
+        join, no fact rows.  Every request reads it afresh — fleet workers
+        share the file, so another process's write shows up here.
+        """
+        with self._lock:
+            row = self._execute(_HEAD_SQL, (tenant, name)).fetchone()
+        if row is None:
+            raise CatalogError(f"unknown dataset {tenant}/{name}")
+        return int(row[0]), row[1], int(row[2]), int(row[3])
+
     def datasets(self, tenant: Optional[str] = None) -> List[Dict[str, object]]:
         """Every dataset (optionally one tenant's), with fact/session counts."""
         sql = (
             "SELECT tenants.name, datasets.name, datasets.id, "
-            "  (SELECT COUNT(*) FROM facts WHERE facts.dataset_id = datasets.id), "
+            "  dataset_heads.fact_count, "
             "  (SELECT COUNT(*) FROM import_sessions "
             "     WHERE import_sessions.dataset_id = datasets.id) "
             "FROM datasets JOIN tenants ON tenants.id = datasets.tenant_id "
+            "JOIN dataset_heads ON dataset_heads.dataset_id = datasets.id "
         )
         params: Tuple = ()
         if tenant is not None:
@@ -344,8 +438,9 @@ class CatalogStore:
         """Apply one ingest/delta batch and record its import session.
 
         The whole batch — session row, fact inserts, fact removals, the
-        final count — commits atomically, so a crash mid-ingest never leaves
-        provenance pointing at half-applied facts.  Returns the session row
+        dataset's refreshed head — commits atomically, so a crash mid-ingest
+        never leaves provenance pointing at half-applied facts, nor a stored
+        digest describing other rows.  Returns the session row
         (including the *effective* add/remove counts: re-ingested duplicates
         and removals of absent facts do not count).
         """
@@ -372,11 +467,7 @@ class CatalogStore:
                     "VALUES (?, ?, ?, ?)",
                     (dataset_id, row_key(values), row_key(values), session_id),
                 ).rowcount
-            count = int(
-                self._execute(
-                    "SELECT COUNT(*) FROM facts WHERE dataset_id=?", (dataset_id,)
-                ).fetchone()[0]
-            )
+            count = _refresh_head(self._execute, dataset_id)
             self._execute(
                 "UPDATE import_sessions "
                 "SET facts_added=?, facts_removed=?, fact_count=? WHERE id=?",
@@ -410,14 +501,6 @@ class CatalogStore:
                 (dataset_id,),
             ).fetchall()
         return [(json.loads(row[0]), int(row[1])) for row in rows]
-
-    def fact_count(self, dataset_id: int) -> int:
-        with self._lock:
-            return int(
-                self._execute(
-                    "SELECT COUNT(*) FROM facts WHERE dataset_id=?", (dataset_id,)
-                ).fetchone()[0]
-            )
 
     def describe_dict(self) -> Dict[str, object]:
         """The JSON shape embedded in the server's stats envelope."""

@@ -1114,7 +1114,7 @@ def _run_replay(args) -> int:
             if args.no_keepalive:
                 sender = jsonl_sender(host, port)
             else:
-                from .workload.replay import jsonl_keepalive_sender
+                from .workload import jsonl_keepalive_sender
 
                 sender = jsonl_keepalive_sender(host, port)
         elif args.http is not None:

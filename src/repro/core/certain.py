@@ -19,7 +19,6 @@ Three exact ways of deciding ``certain(q)`` are provided:
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
@@ -289,6 +288,8 @@ class CertainEngine:
             [database.facts() for database in items[start:start + chunk_size]]
             for start in starts
         ]
+        import multiprocessing  # here, not at module top: only the pool uses it
+
         with multiprocessing.Pool(
             processes=processes,
             initializer=_init_pool_worker,

@@ -491,10 +491,13 @@ class CQAServer:
 
         The catalog dataset becomes the request's first dataset reference
         (inline rows — content-addressed, so every cache tier and fleet
-        route treats it like any wire payload), and the corresponding
+        route treats it like any wire payload).  Building it is one indexed
+        read of the dataset's stored digest, version and fact count; the
+        rows load only if the answer misses the cache.  The corresponding
         answer's ``details["provenance"]`` is stamped *after* answering —
         cache hits included, so a replayed envelope always carries the
-        catalog's current ingest trail.
+        catalog's current ingest trail — from the same reference, with the
+        import history memoised per dataset version.
         """
         if self.catalog is None:
             self._bump("requests")
@@ -529,7 +532,7 @@ class CQAServer:
             except Exception:  # noqa: BLE001 - provenance must not fail the answer
                 schema = None
             try:
-                self.catalog.annotate(answers[0], spec, schema)
+                self.catalog.annotate(answers[0], ref, schema)
             except CatalogError:
                 pass
         return answers

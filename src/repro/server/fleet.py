@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import bisect
 import copy
-import hashlib
 import json
 import os
 import socket
@@ -61,6 +60,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from ..hashing import blake2b
 from ..service.costmodel import CostModel
 from ..service.datasets import dataset_refs_from_json
 from ..service.envelope import Answer, answer_from_json_dict
@@ -87,7 +87,7 @@ _TOTAL_KEYS = (
 def _stable_hash(text: str) -> int:
     """A process-independent 64-bit hash (``hash()`` is salted per process)."""
     return int.from_bytes(
-        hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big"
+        blake2b(text.encode("utf-8"), digest_size=8).digest(), "big"
     )
 
 

@@ -16,7 +16,9 @@ needs one.  Five kinds exist:
     resolution goes through :meth:`~repro.db.sqlite_backend.SqliteFactStore.to_indexed_database`
     so the solution pairs and ``Cert_k`` seeds are pushed down to SQL.
 ``rows``
-    Inline rows (the wire form used by JSONL workload files).
+    Inline rows (the wire form used by JSONL workload files).  A catalog
+    dataset is a ``rows`` reference too, whose rows load on first
+    resolution (:meth:`repro.catalog.service.CatalogService.dataset_ref`).
 ``backend``
     A ``dbapi:`` / ``backend://`` connection spec resolved through the
     pluggable relational backend layer (:mod:`repro.backends`): the hot
@@ -36,11 +38,10 @@ typed error envelope (``details["error_kind"] == "dataset_unavailable"``).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 from pathlib import Path
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..backends.base import (
     BackendSpec,
@@ -58,6 +59,7 @@ from ..core.terms import RelationSchema
 from ..db.csvio import csv_row_count, facts_from_rows, load_csv_text
 from ..db.fact_store import Database
 from ..db.sqlite_backend import SqliteFactStore
+from ..hashing import blake2b
 
 PathLike = Union[str, Path]
 
@@ -78,7 +80,7 @@ def _identity_token(obj: object) -> int:
 
 def _hash_file(path: str) -> Optional[str]:
     """Content digest of a file, or ``None`` when it cannot be read."""
-    digest = hashlib.blake2b(digest_size=16)
+    digest = blake2b(digest_size=16)
     try:
         with open(path, "rb") as handle:
             for chunk in iter(lambda: handle.read(1 << 20), b""):
@@ -103,6 +105,24 @@ def _hash_wal(path: str) -> Optional[str]:
     except OSError:
         return None
     return _hash_file(path)
+
+
+def rows_digest(rows: Iterable[Tuple[object, ...]]) -> str:
+    """The content digest of inline fact rows, as their fingerprint carries it.
+
+    Each row must be a tuple, as :class:`DatasetRef` holds them (a list
+    renders differently).  Order-insensitive: a database is a *set* of
+    facts, so two row payloads that differ only in order resolve to the same
+    fact set and must share one content identity (cache entries, lock
+    stripes and fleet routes all key on it).  Sorting the rendered rows
+    keeps duplicates significant.  The catalog stores this digest at write
+    time, so a stored dataset and the same rows sent inline share every
+    cache entry and route.
+    """
+    digest = blake2b(digest_size=16)
+    for rendered in sorted(repr(row) for row in rows):
+        digest.update(rendered.encode("utf-8"))
+    return digest.hexdigest()
 
 
 class DatasetRef:
@@ -345,8 +365,10 @@ class DatasetRef:
             ``:memory:`` stores, an identity token plus the connection's
             ``total_changes`` counter and the row count.
         ``rows``
-            ``("rows", content-digest)`` over the (immutable) row tuples,
-            memoised on the reference.
+            ``("rows", content-digest)`` over the row tuples the reference
+            holds (:func:`rows_digest`), memoised on the reference.  A
+            catalog reference starts from the digest stored with the dataset
+            and, once it loads its rows, digests the rows it loaded.
         ``backend``
             ``("backend", driver, dsn, table, count, signature-sum)`` — the
             count and signature sum are computed *server-side* on every call
@@ -368,15 +390,7 @@ class DatasetRef:
             return (self.MEMORY, _identity_token(self._database))
         if self.kind == self.ROWS:
             if self._rows_digest is None:
-                # Order-insensitive: a database is a *set* of facts, so two
-                # row payloads that differ only in order resolve to the same
-                # fact set and must share one content identity (cache
-                # entries, lock stripes and fleet routes all key on it).
-                # Sorting the rendered rows keeps duplicates significant.
-                digest = hashlib.blake2b(digest_size=16)
-                for rendered in sorted(repr(row) for row in self._rows):
-                    digest.update(rendered.encode("utf-8"))
-                self._rows_digest = digest.hexdigest()
+                self._rows_digest = rows_digest(self._rows)
             return (self.ROWS, self._rows_digest)
         if self.kind == self.CSV:
             content = _hash_file(self.path)
@@ -530,10 +544,14 @@ class DatasetRef:
             # source rewritten mid-request must never park the old
             # content's answer under the new content's identity.  The CSV
             # loader tightens this further by digesting the exact bytes it
-            # parsed (no window at all); see _load.
+            # parsed (no window at all); see _load.  Inline rows need no
+            # capture: their digest always describes the rows the reference
+            # holds, and a reference that loads its rows on first resolution
+            # digests what it loaded.
             pre_load = (
                 self._content_fingerprint()
-                if self._loaded_fingerprint is None and self.kind != self.CSV
+                if self._loaded_fingerprint is None
+                and self.kind not in (self.CSV, self.ROWS)
                 else None
             )
             resolved = self._load(query, pushdown)
@@ -600,7 +618,7 @@ class DatasetRef:
                 source=self.path,
             )
             if self._loaded_fingerprint is None:
-                digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+                digest = blake2b(data, digest_size=16).hexdigest()
                 self._loaded_fingerprint = (self.CSV, self.path, self.has_header, digest)
             return database
         store = self._ensure_store(query.schema)

@@ -135,7 +135,7 @@ class Planner:
 
     ``cost_model`` defaults to the committed calibration
     (``benchmarks/COST_MODEL.json``); ``registry`` defaults to the built-in
-    strategies plus ``repro.strategies`` entry points.  ``default_workers``
+    strategies.  ``default_workers``
     overrides the machine's detected core count (useful for tests and for
     capping a shared host).  The pre-Strategy-API knobs
     ``auto_shard_threshold`` / ``auto_shard_min_facts`` still work and

@@ -14,8 +14,7 @@ A :class:`Session` is the service layer's stateful front door.  It owns
   strategies.  The certain-answer operations are dispatched *through* the
   winning :class:`~repro.service.strategies.Strategy` object — there is no
   strategy-name ``if/elif`` ladder here — so a strategy registered via
-  ``Session(strategies=[...])`` (or the ``repro.strategies`` entry-point
-  group) executes end-to-end like a built-in.
+  ``Session(strategies=[...])`` executes end-to-end like a built-in.
 
 Every operation goes through :meth:`Session.answer`, which returns one
 :class:`~repro.service.envelope.Answer` per dataset (exactly one for the

@@ -23,8 +23,7 @@ built-ins are the four execution paths — ``indexed-memory``,
 parallel batch mode) — under their historical names; the server layer
 registers its ``answer-cache`` short-circuit through the same seam
 (:class:`repro.server.app.AnswerCacheStrategy`).  Users plug in
-their own via ``Session(strategies=[...])`` or the ``repro.strategies``
-entry-point group.
+their own via ``Session(strategies=[...])``.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Operations that decide ``certain(q)`` (one cache/compute group).
 CERTAIN_OPS = ("certain", "explain", "witness")
-
-#: Entry-point group scanned by :meth:`StrategyRegistry.default`.
-ENTRY_POINT_GROUP = "repro.strategies"
 
 
 @dataclass(frozen=True)
@@ -593,12 +589,8 @@ class StrategyRegistry:
 
     @classmethod
     def default(cls) -> "StrategyRegistry":
-        """The built-in strategies plus any ``repro.strategies`` entry points.
-
-        Entry-point discovery is best-effort: a broken plugin is skipped
-        rather than breaking every plan (the planner must stay available).
-        """
-        registry = cls(
+        """The built-in strategies."""
+        return cls(
             (
                 IndexedMemoryStrategy(),
                 SqlitePushdownStrategy(),
@@ -606,29 +598,6 @@ class StrategyRegistry:
                 ShardedPoolStrategy(),
             )
         )
-        for factory in _entry_point_factories():
-            try:
-                registry.register(factory())
-            except Exception:  # noqa: BLE001 - plugin faults must not break planning
-                continue
-        return registry
-
-
-def _entry_point_factories():
-    """Loaded ``repro.strategies`` entry points (best-effort, never raises)."""
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - py<3.8 has no importlib.metadata
-        return []
-    try:
-        points = entry_points()
-        if hasattr(points, "select"):
-            group = points.select(group=ENTRY_POINT_GROUP)
-        else:  # pragma: no cover - pre-3.10 dict interface
-            group = points.get(ENTRY_POINT_GROUP, ())
-        return [point.load() for point in group]
-    except Exception:  # noqa: BLE001 - plugin faults must not break planning
-        return []
 
 
 __all__ = [

@@ -2,8 +2,12 @@
 
 import json
 import sqlite3
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog import (
     CatalogError,
@@ -13,7 +17,10 @@ from repro.catalog import (
     split_spec,
 )
 from repro.catalog.store import SCHEMA_VERSION
+from repro.core.query import parse_query
 from repro.server.app import CQAServer
+from repro.service.datasets import DatasetRef
+from repro.service.envelope import Answer, Request
 
 
 @pytest.fixture
@@ -333,3 +340,250 @@ class TestServerIntegration:
         )
         encoded = json.loads(json.dumps(answer.to_json_dict()))
         assert encoded["details"]["provenance"]["dataset"] == "acme/orders"
+
+
+def _inline(rows):
+    return DatasetRef.inline_rows(rows).fingerprint()
+
+
+def _sources(answer):
+    return [session["source"] for session in answer.details["provenance"]["import_sessions"]]
+
+
+class TestStoredHead:
+    """A catalog read learns the dataset's identity from its stored head."""
+
+    PAYLOAD = {"op": "certain", "query": "q3", "dataset": "acme/orders"}
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        path = str(tmp_path / "catalog.sqlite3")
+        service = CatalogService(path)
+        _seed(service)
+        service.close()
+        server = CQAServer(catalog_path=path)
+        yield server
+        server.catalog.close()
+
+    def test_repeated_hits_read_no_rows(self, server, monkeypatch):
+        [first] = server.handle_payload(dict(self.PAYLOAD))
+        calls = []
+        original = CatalogStore.facts
+
+        def counting(store, dataset_id):
+            calls.append(dataset_id)
+            return original(store, dataset_id)
+
+        monkeypatch.setattr(CatalogStore, "facts", counting)
+        for _ in range(20):
+            [hit] = server.handle_payload(dict(self.PAYLOAD))
+            assert hit.details["cache"] == "hit"
+            assert hit.verdict == first.verdict
+            assert _sources(hit) == ["seed"]
+        assert calls == []
+        # A miss does load the rows, once.
+        server.handle_payload(
+            {"op": "catalog", "action": "delta", "dataset": "acme/orders",
+             "add": [["z", "z"]]}
+        )
+        [miss] = server.handle_payload(dict(self.PAYLOAD))
+        assert miss.details["cache"] == "miss"
+        assert len(calls) == 1
+
+    def test_the_reference_reports_the_stored_identity(self, server):
+        ref = server.catalog.dataset_ref("acme/orders")
+        rows = [["a", "b"], ["a", "c"], ["d", "e"]]
+        inline = DatasetRef.inline_rows(rows, label="acme/orders")
+        assert ref.describe() == inline.describe() == "rows:acme/orders"
+        assert ref.size_hint() == inline.size_hint() == 3
+        assert ref.fingerprint() == inline.fingerprint()
+        assert ref.stripe_key() == inline.stripe_key()
+        assert ref.routing_key() == inline.routing_key()
+        ref.resolve(parse_query("R(x|y) R(y|z)"))
+        assert ref.fingerprint() == inline.fingerprint()
+        assert ref.size_hint() == 3
+
+    def test_rowid_reuse_after_delete_lists_only_the_new_session(self, tmp_path):
+        path = str(tmp_path / "catalog.sqlite3")
+        writer = CatalogService(path)
+        writer.create_tenant("t")
+        first = writer.create_dataset("t/a")
+        old = writer.ingest_rows("t/a", [["a", "b"], ["b", "c"]], source="old")
+        server = CQAServer(catalog_path=path)
+        payload = {"op": "certain", "query": "q3", "dataset": "t/a"}
+        [before] = server.handle_payload(dict(payload))
+        assert _sources(before) == ["old"]
+        # Another process deletes and re-creates the dataset: SQLite hands
+        # the deleted rows' ids out again, so (dataset id, head session id)
+        # repeats while the content and the history do not.
+        writer.delete_dataset("t/a")
+        second = writer.create_dataset("t/a")
+        new = writer.ingest_rows("t/a", [["x", "y"]], source="new")
+        assert (second["id"], new["id"]) == (first["id"], old["id"]) == (1, 1)
+        [after] = server.handle_payload(dict(payload))
+        assert after.details["cache"] == "miss"
+        assert _sources(after) == ["new"]
+        assert after.details["provenance"]["import_sessions"] == writer.history("t/a")
+        writer.close()
+        server.catalog.close()
+
+    def test_a_write_through_another_service_is_seen_by_the_next_read(self, tmp_path):
+        path = str(tmp_path / "catalog.sqlite3")
+        reader = CatalogService(path)
+        _seed(reader)
+        writer = CatalogService(path)
+        before = reader.dataset_ref("acme/orders")
+        answer = Answer(op="certain", query="q3", verdict=True)
+        reader.annotate(answer, before)
+        assert _sources(answer) == ["seed"]
+        writer.apply_delta("acme/orders", add=[["z", "z"]], source="from-writer")
+        after = reader.dataset_ref("acme/orders")
+        rows = [["a", "b"], ["a", "c"], ["d", "e"], ["z", "z"]]
+        assert after.fingerprint() == _inline(rows) != before.fingerprint()
+        assert after.size_hint() == 4
+        answer = Answer(op="certain", query="q3", verdict=True)
+        reader.annotate(answer, after)
+        assert _sources(answer) == ["seed", "from-writer"]
+        writer.close()
+        reader.close()
+
+    def test_provenance_copies_cannot_corrupt_the_memo(self, server):
+        [first] = server.handle_payload(dict(self.PAYLOAD))
+        first.details["provenance"]["import_sessions"][0]["source"] = "tampered"
+        first.details["provenance"]["import_sessions"].clear()
+        [second] = server.handle_payload(dict(self.PAYLOAD))
+        assert _sources(second) == ["seed"]
+
+    def test_a_catalog_without_stored_heads_is_backfilled_without_reset(self, tmp_path):
+        path = str(tmp_path / "catalog.sqlite3")
+        service = CatalogService(path)
+        _seed(service)
+        service.apply_delta("acme/orders", remove=[["d", "e"]])
+        service.create_dataset("acme/empty")
+        dataset_id = service.store.dataset_id("acme", "orders")
+        sessions = service.history("acme/orders")
+        facts = service.store.facts(dataset_id)
+        service.close()
+        # The layout before heads were stored: no heads table, no counter.
+        conn = sqlite3.connect(path)
+        conn.execute("DROP TABLE dataset_heads")
+        conn.execute("DELETE FROM meta WHERE key='writes'")
+        conn.commit()
+        conn.close()
+        reopened = CatalogService(path)
+        assert reopened.store.stats["resets"] == 0
+        assert reopened.history("acme/orders") == sessions
+        assert reopened.store.facts(dataset_id) == facts
+        ref = reopened.dataset_ref("acme/orders")
+        assert ref.fingerprint() == _inline([["a", "b"], ["a", "c"]])
+        assert ref.size_hint() == 2
+        empty = reopened.dataset_ref("acme/empty")
+        assert empty.fingerprint() == _inline([]) and empty.size_hint() == 0
+        reopened.close()
+        server = CQAServer(catalog_path=path)
+        [answer] = server.handle_payload(dict(self.PAYLOAD))
+        assert answer.ok and answer.verdict is False
+        assert answer.details["provenance"]["import_sessions"] == sessions
+        assert server.catalog.store.stats["resets"] == 0
+        server.catalog.close()
+
+    def test_opening_a_current_file_takes_no_write_lock(self, tmp_path):
+        path = str(tmp_path / "catalog.sqlite3")
+        service = CatalogService(path)
+        _seed(service)
+        service.close()
+        blocker = sqlite3.connect(path)
+        blocker.execute("BEGIN IMMEDIATE")  # another process mid-write
+        try:
+            store = CatalogStore(path, busy_timeout_s=0.05)
+            assert store.stats == {"errors": 0, "resets": 0}
+            assert store.head("acme", "orders")[3] == 3
+            store.close()
+        finally:
+            blocker.rollback()
+            blocker.close()
+
+    def test_a_write_racing_a_miss_stores_the_answer_under_the_loaded_rows(self, tmp_path):
+        path = str(tmp_path / "catalog.sqlite3")
+        old_rows, new_rows = [["a", "b"], ["b", "c"]], [["a", "b"], ["d", "e"]]
+        writer = CatalogService(path)
+        writer.create_tenant("t")
+        writer.create_dataset("t/a")
+        writer.ingest_rows("t/a", old_rows)
+        server = CQAServer(catalog_path=path)
+        ref = server.catalog.dataset_ref("t/a")  # the old content's head
+        assert ref.fingerprint() == _inline(old_rows)
+        writer.apply_delta("t/a", add=[["d", "e"]], remove=[["b", "c"]])
+        [raced] = server.handle_request(Request(op="certain", query="q3", datasets=(ref,)))
+        assert raced.details["cache"] == "miss"
+        assert raced.verdict is False  # answered on the rows actually loaded
+        assert ref.fingerprint() == _inline(new_rows)
+        [later] = server.handle_payload({"op": "certain", "query": "q3", "dataset": "t/a"})
+        assert later.details["cache"] == "hit" and later.verdict is False
+        # The old content's digest holds no entry for the new content.
+        [old] = server.handle_request(
+            Request(op="certain", query="q3", datasets=(DatasetRef.inline_rows(old_rows),))
+        )
+        assert old.details["cache"] == "miss" and old.verdict is True
+        writer.close()
+        server.catalog.close()
+
+
+_VALUES = st.sampled_from(["a", "b", "1", 1, 2])
+_ROWS = st.lists(st.tuples(_VALUES, _VALUES), max_size=5)
+_SPECS = st.sampled_from(["t/a", "t/b"])
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), _SPECS, _ROWS),
+        st.tuples(st.just("delta"), _SPECS, _ROWS, _ROWS),
+        st.tuples(st.just("recreate"), _SPECS),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestStoredDigestProperty:
+    """The stored digest is the inline-rows fingerprint of the current rows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=_STEPS)
+    def test_stored_identity_tracks_every_write(self, steps):
+        query = parse_query("R(x|y) R(y|z)")
+        with tempfile.TemporaryDirectory() as directory:
+            service = CatalogService(str(Path(directory) / "catalog.sqlite3"))
+            service.create_tenant("t")
+            model = {}
+            for spec in ("t/a", "t/b"):
+                service.create_dataset(spec)
+                model[spec] = set()
+            for step in steps:
+                kind, spec = step[0], step[1]
+                if kind == "ingest":
+                    service.ingest_rows(spec, step[2])
+                    model[spec] |= {tuple(map(str, row)) for row in step[2]}
+                elif kind == "delta":
+                    service.apply_delta(spec, add=step[2], remove=step[3])
+                    model[spec] -= {tuple(map(str, row)) for row in step[3]}
+                    model[spec] |= {tuple(map(str, row)) for row in step[2]}
+                else:
+                    service.delete_dataset(spec)
+                    service.create_dataset(spec)
+                    model[spec] = set()
+                fingerprints = {}
+                for name, rows in model.items():
+                    ref = service.dataset_ref(name)
+                    fingerprints[name] = ref.fingerprint()
+                    assert fingerprints[name] == _inline(sorted(rows))
+                    assert ref.size_hint() == len(rows)
+                    answer = Answer(op="certain", query="q", verdict=True)
+                    service.annotate(answer, ref)
+                    assert answer.details["provenance"]["import_sessions"] == (
+                        service.store.sessions(ref.dataset_id)
+                    )
+                    ref.resolve(query)
+                    assert ref.fingerprint() == fingerprints[name]
+                assert (fingerprints["t/a"] == fingerprints["t/b"]) == (
+                    model["t/a"] == model["t/b"]
+                )
+            service.close()
