@@ -42,6 +42,7 @@ from repro import (
     CertK,
     DatasetRef,
     Request,
+    SolutionGraph,
     build_solution_graph,
     matching_cache_key,
 )
@@ -108,6 +109,8 @@ def _workload(query, size: int):
 
 
 def _graphs_equal(left, right) -> bool:
+    # The cached graph runs on fact ids: compare through its Fact view.
+    left, right = (g.view() if isinstance(g, SolutionGraph) else g for g in (left, right))
     return (
         left.directed == right.directed
         and left.self_loops == right.self_loops

@@ -24,7 +24,7 @@ import os
 import random
 from pathlib import Path
 
-from repro import CertK, NaiveCertK, build_solution_graph, build_solution_graph_naive
+from repro import CertK, NaiveCertK, SolutionGraph, build_solution_graph, build_solution_graph_naive
 from repro.bench.harness import ExperimentReport, timed
 from repro.bench.reporting import emit, write_json
 from repro.db.generators import random_solution_database
@@ -59,6 +59,8 @@ def _workload(query, size: int):
 
 
 def _graphs_equal(left, right) -> bool:
+    # The cached graph runs on fact ids: compare through its Fact view.
+    left, right = (g.view() if isinstance(g, SolutionGraph) else g for g in (left, right))
     return (
         left.directed == right.directed
         and left.self_loops == right.self_loops

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.query import TwoAtomQuery
-from ..core.solutions import solution_graph_cache_key, solution_graph_from_pairs
+from ..core.solutions import SolutionGraph, solution_graph_cache_key
 from ..core.terms import Fact
 from ..db.fact_store import Database
 from ..eval.deltas import graph_maintainer
@@ -164,9 +164,12 @@ def reduced_streamed_database(
     stats.reduced_facts = len(kept)
 
     database = Database(kept)
+    id_of = database.id_of
     database.prime_cache(
         solution_graph_cache_key(query),
-        solution_graph_from_pairs(database.facts(), pairs),
+        SolutionGraph.from_pairs(
+            query, database, ((id_of(first), id_of(second)) for first, second in pairs)
+        ),
         maintainer=graph_maintainer(query),
     )
     stats.seal()

@@ -29,153 +29,40 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional
 
-from ..db.fact_store import BlockId, Database, Repair
+from ..db.fact_store import Database, Repair
 from ..db.repairs import iter_repairs, sample_repair
-from ..eval.deltas import FactDelta, graph_maintainer
 from .query import TwoAtomQuery
 from .solutions import build_solution_graph
-from .terms import Fact
-
-
-class _OracleState:
-    """The delta-maintained lookup tables behind :class:`RepairOracle`.
-
-    ``partners`` maps a fact to its cross-block directed-solution partners
-    (partner → partner's block id); ``by_partner`` is the reverse index that
-    makes removals ``O(degree)``.  Self-solutions live in ``self_loops``.
-    """
-
-    __slots__ = ("self_loops", "partners", "by_partner")
-
-    def __init__(self) -> None:
-        self.self_loops: Set[Fact] = set()
-        self.partners: Dict[Fact, Dict[Fact, BlockId]] = {}
-        self.by_partner: Dict[Fact, Set[Fact]] = {}
-
-
-class RepairOracleMaintainer:
-    """Builds and delta-maintains the oracle tables through the cache contract.
-
-    The builder reads the — itself delta-maintained — solution graph; a fact
-    addition links only the new fact's solution pairs (two index probes via
-    the shared :class:`~repro.eval.deltas.SolutionGraphMaintainer`), a
-    removal unlinks every entry mentioning the fact through the reverse
-    index.  Both directions are supported, so repair-sampling consumers ride
-    the same never-rebuild path as the matching.
-    """
-
-    def __init__(self, query: TwoAtomQuery) -> None:
-        self.query = query
-
-    def build(self, database: Database) -> _OracleState:
-        graph = build_solution_graph(self.query, database)
-        state = _OracleState()
-        for first, second in graph.directed:
-            self._link(state, first, second)
-        return state
-
-    def __call__(
-        self, database: Database, state: _OracleState, delta: FactDelta
-    ) -> _OracleState:
-        fact = delta.fact
-        if delta.is_add:
-            for first, second in graph_maintainer(self.query).pairs_of(database, fact):
-                self._link(state, first, second)
-            return state
-        state.self_loops.discard(fact)
-        for first in state.by_partner.pop(fact, ()):
-            bucket = state.partners.get(first)
-            if bucket is not None:
-                bucket.pop(fact, None)
-                if not bucket:
-                    del state.partners[first]
-        bucket = state.partners.pop(fact, None)
-        if bucket:
-            for second in bucket:
-                firsts = state.by_partner.get(second)
-                if firsts is not None:
-                    firsts.discard(fact)
-                    if not firsts:
-                        del state.by_partner[second]
-        return state
-
-    @staticmethod
-    def _link(state: _OracleState, first: Fact, second: Fact) -> None:
-        if first == second:
-            state.self_loops.add(first)
-            return
-        if first.block_id() == second.block_id():
-            # Self-solutions are handled directly; a pair inside one block
-            # can never be chosen together by a repair.
-            return
-        bucket = state.partners.get(first)
-        if bucket is None:
-            bucket = state.partners[first] = {}
-        bucket[second] = second.block_id()
-        state.by_partner.setdefault(second, set()).add(first)
-
-
-_ORACLE_MAINTAINERS: Dict[TwoAtomQuery, RepairOracleMaintainer] = {}
-
-
-def repair_oracle_maintainer(query: TwoAtomQuery) -> RepairOracleMaintainer:
-    """The shared :class:`RepairOracleMaintainer` of ``query``."""
-    maintainer = _ORACLE_MAINTAINERS.get(query)
-    if maintainer is None:
-        if len(_ORACLE_MAINTAINERS) >= 512:  # leak guard, as in repro.eval.deltas
-            _ORACLE_MAINTAINERS.clear()
-        maintainer = _ORACLE_MAINTAINERS[query] = RepairOracleMaintainer(query)
-    return maintainer
-
-
-def repair_oracle_cache_key(query: TwoAtomQuery) -> Tuple[str, TwoAtomQuery]:
-    """The :meth:`Database.cached` key of the oracle tables."""
-    return ("repair_oracle", query)
 
 
 class RepairOracle:
     """Decides ``r |= q`` for repairs of one database without fact scans.
 
     A repair satisfies the query iff it contains a self-solution fact or
-    both endpoints of a directed solution of ``D`` — solutions inside a
-    repair are exactly the solutions of ``D`` restricted to it.  Each check
-    walks the repair's facts and their solution partners (looked up against
-    the repair's block → chosen-fact map) instead of running the quadratic
-    ``satisfied_by`` scan, so sampling thousands of repairs amortises one
-    table build.
-
-    The tables are a derived structure cached on the database and
-    delta-maintained (see :class:`RepairOracleMaintainer`): constructing an
-    oracle after a mutation replays the pending fact deltas instead of
-    re-deriving everything from the graph.  The view is resolved at
+    both endpoints of an edge of ``G(D, q)`` — solutions inside a repair
+    are exactly the solutions of ``D`` restricted to it.  Each check maps
+    the repair's facts to the database's ids and walks their adjacency in
+    the database's cached, delta-maintained solution graph instead of
+    running the quadratic ``satisfied_by`` scan, so sampling thousands of
+    repairs amortises one graph build.  The graph is resolved at
     construction time — build the oracle after mutating, not before.
     """
 
     def __init__(self, query: TwoAtomQuery, database: Database) -> None:
         self.query = query
-        maintainer = repair_oracle_maintainer(query)
-        self._state: _OracleState = database.cached(
-            repair_oracle_cache_key(query), maintainer.build, maintainer=maintainer
-        )
+        self._id_of = database.id_of
+        self._graph = build_solution_graph(query, database)
 
     def satisfied(self, repair: Repair) -> bool:
         """Whether the repair satisfies the query (equals ``query.satisfied_by``)."""
-        state = self._state
-        if state.self_loops:
-            for fact in repair:
-                if fact in state.self_loops:
-                    return True
-        chosen = {fact.block_id(): fact for fact in repair}
-        for fact in repair:
-            bucket = state.partners.get(fact)
-            if bucket is None:
-                continue
-            for partner, block_id in bucket.items():
-                if chosen.get(block_id) == partner:
-                    return True
-        return False
+        ids = set(map(self._id_of, repair))
+        loops = self._graph.self_loops
+        if loops and not loops.isdisjoint(ids):
+            return True
+        edges = self._graph.edges
+        return any(not edges[fid].isdisjoint(ids) for fid in ids)
 
 
 @dataclass(frozen=True)

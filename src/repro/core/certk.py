@@ -22,8 +22,10 @@ Two implementations are provided:
   seeds are read straight off the database-cached, index-built and
   delta-maintained solution graph ``G(D, q)``: every self-loop seeds a
   singleton and every edge across two blocks avoiding self-loops seeds a
-  pair.  Each run interns the facts it meets to dense integer ids, so
-  k-sets are sorted id tuples; each newly inserted minimal set enqueues only
+  pair.  It runs on the database's own fact ids and block indices (ids are
+  assigned once, at insert; a run interns nothing), so k-sets are sorted id
+  tuples and the memoised antichains stay valid as long as their component
+  is untouched; each newly inserted minimal set enqueues only
   the candidate k-sets it can make fire, generated on demand from an
   inverted id → stored-set index, and a per-block completion index of
   position bitmasks tests a candidate against a whole block in ``2^k``
@@ -44,8 +46,9 @@ Two implementations are provided:
   memoised run smallest first (by fact count) and the run stops at the
   first one that derives the empty set, so a certain database with a small
   certain component is decided after a handful of insertions, whatever the
-  size of the rest.  The result's ``delta`` is converted back to ``Fact``
-  frozensets only when it is first read.
+  size of the rest.  The result's ``delta`` is converted to ``Fact``
+  frozensets only when it is first read, through the database's ids (an id
+  keeps naming its fact after a removal).
 * :class:`NaiveCertK` — the seed implementation: enumerate every candidate
   k-set with ``itertools.combinations`` and re-scan them all on every pass
   until nothing changes.  Kept verbatim as the differential-testing oracle.
@@ -63,13 +66,13 @@ from itertools import chain, combinations
 from operator import attrgetter
 from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..db.fact_store import BlockId, Database
+from ..db.fact_store import Database
 from .query import TwoAtomQuery
 from .solutions import BlockComponent, SolutionGraph, block_partition, build_solution_graph
 from .terms import Fact
 
 KSet = FrozenSet[Fact]
-#: A k-set inside one :class:`_WorklistFixpoint` run: sorted per-run fact ids.
+#: A k-set inside :class:`_WorklistFixpoint`: sorted fact ids of the database.
 IdSet = Tuple[int, ...]
 
 
@@ -149,18 +152,18 @@ class CertK:
                 return CertKResult(True, k, {frozenset()})
         graph = build_solution_graph(self.query, database)
         processed = 0
-        block_by_id = database.block_by_id
         for component in sorted(stale, key=attrgetter("size")):
-            facts = [fact for key in component.blocks for fact in block_by_id(key).facts]
-            fixpoint = _WorklistFixpoint(k, database, graph, facts)
+            fixpoint = _WorklistFixpoint(k, database, graph, component.blocks)
             certain = fixpoint.solve()
             processed += fixpoint.processed
-            component.memo[k] = (certain, fixpoint.facts, fixpoint.delta)
+            component.memo[k] = (certain, fixpoint.delta)
             if certain:
                 return CertKResult(True, k, {frozenset()}, processed)
         result = CertKResult(False, k, iterations=processed)
-        # Only the components' facts and antichains outlive the run.
-        result._pending = partial(_as_facts, [component.memo[k] for component in components])
+        # Only the components' antichains outlive the run.
+        result._pending = partial(
+            _as_facts, database.fact, [component.memo[k][1] for component in components]
+        )
         return result
 
     def is_certain(self, database: Database) -> bool:
@@ -176,26 +179,25 @@ class CertK:
         seed pairs.
         """
         graph = build_solution_graph(self.query, database)
-        fixpoint = _WorklistFixpoint(self.k, database, graph, database.facts())
-        return _as_facts([(False, fixpoint.facts, fixpoint.seeds)])
+        blocks = [block.index for block in database.blocks()]
+        fixpoint = _WorklistFixpoint(self.k, database, graph, blocks)
+        return _as_facts(database.fact, [fixpoint.seeds])
 
 
 class _WorklistFixpoint:
     """Delta-driven evaluation of the Section 5 inductive rule on fact ids.
 
-    Facts are interned to dense ids for this run only, and every k-set is a
-    sorted id tuple.  The state is the antichain ``delta``, an inverted index
-    ``inv`` (id → stored sets containing it) and a *completion index*: for a
-    stored set ``T`` and each ``u ∈ T``, the entry ``(T \\ {u}, block(u))``
-    carries the bit of ``u``'s position within its block.  ``C ∪ {u}`` for a
-    non-covered ``C`` is covered exactly when some ``T ∋ u`` has
-    ``T \\ {u} ⊆ C``, so OR-ing the masks of the ``2^|C|`` subsets of ``C``
-    tests a whole block at once.  Coverage only grows, so a dominated set's
-    bits stay valid and the index never shrinks.  Blocks are resolved — their
-    remaining facts interned and their full mask fixed — only when the search
-    pivots on them, so a run touching few solutions never pays an
-    ``O(blocks)`` snapshot (the serving hot path runs the solver once per
-    answer).
+    A k-set is a sorted tuple of the database's fact ids, and a block is
+    named by its database index.  The state is the antichain ``delta``, an
+    inverted index ``inv`` (id → stored sets containing it) and a
+    *completion index*: for a stored set ``T`` and each ``u ∈ T``, the entry
+    ``(T \\ {u}, block(u))`` carries the bit of ``u``'s position within its
+    block.  ``C ∪ {u}`` for a non-covered ``C`` is covered exactly when some
+    ``T ∋ u`` has ``T \\ {u} ⊆ C``, so OR-ing the masks of the ``2^|C|``
+    subsets of ``C`` tests a whole block at once.  Coverage only grows, so a
+    dominated set's bits stay valid and the index never shrinks.  Every
+    table is a dict over the component's own facts and blocks, so a run
+    allocates in proportion to its component, not to the database.
 
     Processing a stored set ``S`` explores, for every ``u ∈ S``, candidates
     ``C ⊇ S \\ {u}`` against the block of ``u`` — by the argument below this
@@ -215,19 +217,17 @@ class _WorklistFixpoint:
     Seeding reads the solution graph, never a copy of it: each self-loop
     ``a`` (``q(a a)``) becomes the singleton ``(a,)``, and for ``k >= 2`` each
     edge ``{a, b}`` whose endpoints lie in different blocks and are no
-    self-loops becomes the pair ``(a, b)``.  That is already the minimal
-    antichain of the Section 5 seeds: singletons are pairwise incomparable
-    and the empty set never seeds; two distinct pairs are incomparable; and
-    a pair can only be dominated by a singleton inside it, i.e. by one of
-    its endpoints being a self-loop, which the rule excludes.  Key-equal
-    endpoints are excluded because a k-set holds at most one fact per block.
-    So the seeds need no domination checks, and ``seeds`` lists the
-    singletons first (they are the closest to deriving the empty set).
-    Self-loops take ids ``0 .. L-1``, and a non-self-loop fact is interned
-    when its adjacency is visited, so each edge is collected once, from its
-    later-interned endpoint.
+    self-loops becomes the pair ``(a, b)`` with ``a < b``.  That is already
+    the minimal antichain of the Section 5 seeds: singletons are pairwise
+    incomparable and the empty set never seeds; two distinct pairs are
+    incomparable; and a pair can only be dominated by a singleton inside it,
+    i.e. by one of its endpoints being a self-loop, which the rule excludes.
+    Key-equal endpoints are excluded because a k-set holds at most one fact
+    per block.  So the seeds need no domination checks, and ``seeds`` lists
+    the singletons first (they are the closest to deriving the empty set).
+    Each edge is collected once, from its smaller id.
 
-    A run seeds from the facts it is given: those of one ``q``-connected
+    A run seeds from the blocks it is given: those of one ``q``-connected
     block component of Proposition 10.6, as the maintained partition lists
     it (:class:`CertK` reads every component's seeds only to report them).
     No search step leaves a component: every seed lies in one (a seed pair
@@ -254,84 +254,54 @@ class _WorklistFixpoint:
     """
 
     def __init__(
-        self, k: int, database: Database, graph: SolutionGraph, facts: List[Fact]
+        self, k: int, database: Database, graph: SolutionGraph, blocks: Iterable[int]
     ) -> None:
         self.k = k
-        self._database = database
-        # Per-run interning: id → fact, id → (block index, position bit),
-        # block index → member ids in position order.  Positions follow
-        # interning order, so a block's mask is as wide as the block.
-        self.facts: List[Fact] = []
-        self._ids: Dict[Fact, int] = {}
-        self._block_of: List[int] = []
-        self._bit_of: List[int] = []
-        self._block_index: Dict[BlockId, int] = {}
-        self._block_keys: List[BlockId] = []
-        self._members: List[List[int]] = []
-        self._full: List[int] = []  # 0 until the block is resolved
-        self._completion: List[Dict[IdSet, int]] = []
+        self._block_of = database.fact_blocks
+        # Per block: member ids in position order, the full position mask
+        # and the completion masks; per fact: the bit of its position in
+        # its block and the stored sets holding it.
+        self._members: Dict[int, List[int]] = {}
+        self._full: Dict[int, int] = {}
+        self._bit: Dict[int, int] = {}
+        self._completion: Dict[int, Dict[IdSet, int]] = {}
         self.delta: Set[IdSet] = set()
-        self.inv: List[Set[IdSet]] = []
+        self.inv: Dict[int, Set[IdSet]] = {}
         self.queue: Deque[IdSet] = deque()
         self.processed = 0
         self.empty_derived = False
-        #: The seeds read off ``facts``' solutions, singletons first.
-        self.seeds = self._seed(graph, facts)
+        table = database.block_table
+        bit = self._bit
+        inv = self.inv
+        ids: List[int] = []
+        for number in blocks:
+            members = list(table[number].ids)
+            for position, fid in enumerate(members):
+                bit[fid] = 1 << position
+                inv[fid] = set()
+            self._members[number] = members
+            self._full[number] = (1 << len(members)) - 1
+            self._completion[number] = {}
+            ids += members
+        #: The seeds read off the blocks' solutions, singletons first.
+        self.seeds = self._seed(graph, ids)
 
-    def _seed(self, graph: SolutionGraph, facts: List[Fact]) -> List[IdSet]:
-        """Collect the seeds of ``facts`` read off ``graph``."""
-        intern = self._intern
+    def _seed(self, graph: SolutionGraph, ids: List[int]) -> List[IdSet]:
+        """Collect the seeds of ``ids`` read off ``graph``."""
         loops = graph.self_loops
-        seeds: List[IdSet] = [(intern(fact),) for fact in facts if fact in loops]
+        seeds: List[IdSet] = [(fid,) for fid in ids if fid in loops] if loops else []
         if self.k >= 2:
-            count = len(seeds)
-            ids = self._ids
             block_of = self._block_of
             edges = graph.edges
-            for fact in facts:
-                adjacent = edges.get(fact)
-                if not adjacent or fact in loops:  # isolated, or a self-loop
+            for fid in ids:
+                adjacent = edges.get(fid)
+                if not adjacent or fid in loops:  # isolated, or a self-loop
                     continue
-                later = intern(fact)
-                block = block_of[later]
+                block = block_of[fid]
                 for other in adjacent:
-                    earlier = ids.get(other)
-                    if earlier is not None and earlier >= count and block_of[earlier] != block:
-                        seeds.append((earlier, later))
+                    if other > fid and block_of[other] != block and other not in loops:
+                        seeds.append((fid, other))
         return seeds
-
-    # ------------------------------------------------------------------ #
-    # interning
-    # ------------------------------------------------------------------ #
-    def _intern(self, fact: Fact) -> int:
-        fid = self._ids.get(fact)
-        if fid is None:
-            key = fact.block_id()
-            block = self._block_index.get(key)
-            if block is None:
-                block = self._block_index[key] = len(self._members)
-                self._block_keys.append(key)
-                self._members.append([])
-                self._full.append(0)
-                self._completion.append({})
-            fid = self._ids[fact] = len(self.facts)
-            self.facts.append(fact)
-            members = self._members[block]
-            self._block_of.append(block)
-            self._bit_of.append(1 << len(members))
-            members.append(fid)
-            self.inv.append(set())
-        return fid
-
-    def _resolve(self, block: int) -> int:
-        """Intern the rest of ``block`` on first use; return its full mask."""
-        full = self._full[block]
-        if not full:
-            resolved = self._database.block_by_id(self._block_keys[block])
-            for fact in resolved.facts if resolved is not None else ():
-                self._intern(fact)
-            full = self._full[block] = (1 << len(self._members[block])) - 1
-        return full
 
     # ------------------------------------------------------------------ #
     # driver
@@ -344,6 +314,8 @@ class _WorklistFixpoint:
         return self.empty_derived
 
     def _drain(self) -> None:
+        block_of = self._block_of
+        full = self._full
         while self.queue and not self.empty_derived:
             member = self.queue.popleft()
             if member not in self.delta:
@@ -352,9 +324,8 @@ class _WorklistFixpoint:
                 continue
             self.processed += 1
             for index, pivot_id in enumerate(member):
-                block = self._block_of[pivot_id]
-                full = self._resolve(block)
-                self._search(member[:index] + member[index + 1:], block, full)
+                block = block_of[pivot_id]
+                self._search(member[:index] + member[index + 1:], block, full[block])
                 if self.empty_derived:
                     break
 
@@ -387,9 +358,9 @@ class _WorklistFixpoint:
             low = missing & -missing
             fid = members[low.bit_length() - 1]
             witnesses = inv[fid]
+            if not witnesses:
+                return
             if fewest is None or len(witnesses) < len(fewest):
-                if not witnesses:
-                    return
                 pivot, fewest = fid, witnesses
             missing ^= low
         block_of = self._block_of
@@ -430,27 +401,19 @@ class _WorklistFixpoint:
         self.delta.add(member)
         inv = self.inv
         block_of = self._block_of
-        bit_of = self._bit_of
+        bit = self._bit
         completion = self._completion
         for index, fid in enumerate(member):
             rest = member[:index] + member[index + 1:]
             masks = completion[block_of[fid]]
-            masks[rest] = masks.get(rest, 0) | bit_of[fid]
+            masks[rest] = masks.get(rest, 0) | bit[fid]
             inv[fid].add(member)
         self.queue.append(member)
 
 
-def _as_facts(outcomes: Iterable[Tuple[bool, List[Fact], Iterable[IdSet]]]) -> Set[KSet]:
-    """Finished fixpoints' id tuples as ``Fact`` frozensets.
-
-    Each outcome is ``(certain, facts, members)``, ``facts`` mapping its own
-    run's ids to facts.
-    """
-    return {
-        frozenset(facts[i] for i in member)
-        for _, facts, members in outcomes
-        for member in members
-    }
+def _as_facts(fact: Callable[[int], Fact], antichains: Iterable[Iterable[IdSet]]) -> Set[KSet]:
+    """Finished fixpoints' id tuples as ``Fact`` frozensets (``fact`` maps an id)."""
+    return {frozenset(fact(i) for i in member) for members in antichains for member in members}
 
 
 def _subsets(ids: IdSet) -> Tuple[IdSet, ...]:

@@ -16,8 +16,9 @@ bipartite graph ``H(D, q)``:
 combination ``Cert_k(q) ∨ ¬matching(q)`` solves every 2way-determined query
 with no fork-tripath (Theorem 10.5).
 
-The matching is a first-class delta-maintained derived structure:
-:class:`MatchingState` bundles ``H(D, q)`` with an
+The matching is a first-class delta-maintained derived structure on the
+database's fact ids and block indices: :class:`MatchingState` bundles
+``H(D, q)`` with an
 :class:`~repro.graphs.bipartite.IncrementalMatching`, and
 :class:`BipartiteGraphMaintainer` derives both from the already-maintained
 solution graph.  The build and every fact delta run the same code: a
@@ -38,25 +39,31 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from ..db.fact_store import BlockId, Database, Repair
+from ..db.fact_store import Database, Repair
 from ..eval.deltas import FactDelta
 from ..graphs.bipartite import BipartiteGraph, IncrementalMatching, maximum_matching
 from .query import TwoAtomQuery
-from .solutions import SolutionGraph, build_solution_graph
+from .solutions import FactGraph, SolutionGraph, build_solution_graph
 from .terms import Fact
 
-Clique = FrozenSet[Fact]
+#: A right vertex of the maintained ``H(D, q)``: a clique of fact ids.
+Clique = FrozenSet[int]
 
 
 @dataclass
 class MatchingResult:
-    """Outcome of running ``matching(q)`` on a database."""
+    """Outcome of running ``matching(q)`` on a database.
+
+    ``matching`` maps block ids to the matched clique, a frozenset of
+    ``Fact`` objects, and ``bipartite_graph`` is ``H(D, q)`` over the same
+    vertices: the ``Fact`` view of the maintained state.
+    """
 
     has_saturating_matching: bool
     matching: Dict[object, FrozenSet[Fact]] = field(default_factory=dict)
-    solution_graph: Optional[SolutionGraph] = None
+    solution_graph: Optional[Union[SolutionGraph, FactGraph]] = None
     bipartite_graph: Optional[BipartiteGraph] = None
 
     @property
@@ -72,8 +79,10 @@ class MatchingState:
     """The delta-maintained ``matching(q)`` state of one ``(query, database)``.
 
     Owns the live ``H(D, q)`` (inside an
-    :class:`~repro.graphs.bipartite.IncrementalMatching`) plus the
-    bookkeeping that makes single-fact splices local:
+    :class:`~repro.graphs.bipartite.IncrementalMatching`), whose left
+    vertices are the database's block indices and whose right vertices are
+    cliques of fact ids, plus the bookkeeping that makes single-fact splices
+    local (all keyed by fact id):
 
     * ``right_of`` — the right vertex (the paper's ``clique(a)``) currently
       assigned to every live fact;
@@ -89,6 +98,7 @@ class MatchingState:
     """
 
     __slots__ = (
+        "fact_blocks",
         "bipartite",
         "matching",
         "right_of",
@@ -100,14 +110,16 @@ class MatchingState:
         "_next_component",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, fact_blocks: List[int]) -> None:
+        #: The database's fact id -> block index list (read only).
+        self.fact_blocks = fact_blocks
         self.bipartite = BipartiteGraph()
         self.matching = IncrementalMatching(self.bipartite)
-        self.right_of: Dict[Fact, Clique] = {}
-        self.edgeless: Set[Fact] = set()
-        self.component_of: Dict[Fact, int] = {}
-        self.members: Dict[int, Set[Fact]] = {}
-        self.edge_refs: Dict[Tuple[BlockId, Clique], int] = {}
+        self.right_of: Dict[int, Clique] = {}
+        self.edgeless: Set[int] = set()
+        self.component_of: Dict[int, int] = {}
+        self.members: Dict[int, Set[int]] = {}
+        self.edge_refs: Dict[Tuple[int, Clique], int] = {}
         self.right_refs: Dict[Clique, int] = {}
         self._next_component = 0
 
@@ -155,12 +167,12 @@ class BipartiteGraphMaintainer:
         exactly the replay of every component at once.
         """
         graph = build_solution_graph(self.query, database)
-        state = MatchingState()
+        state = MatchingState(database.fact_blocks)
         for block in database.blocks():
-            state.bipartite.add_left(block.block_id)
-        for fact in graph.facts:
-            if fact not in state.component_of:
-                self._reassign_component(graph, state, self._component_of(graph, fact))
+            state.bipartite.add_left(block.index)
+        for fid in graph.edges:
+            if fid not in state.component_of:
+                self._reassign_component(graph, state, self._component_of(graph, fid))
         return state
 
     # ------------------------------------------------------------------ #
@@ -170,15 +182,15 @@ class BipartiteGraphMaintainer:
         self, database: Database, state: MatchingState, delta: FactDelta
     ) -> MatchingState:
         graph = build_solution_graph(self.query, database)
-        fact = delta.fact
+        fid = delta.fid
         # The dirty region: the fact itself plus everything its *recorded*
         # component held — after a removal the survivors re-partition, after
         # an addition the merged component is reached from the fact itself.
-        seeds = {fact}
-        token = state.component_of.get(fact)
+        seeds = {fid}
+        token = state.component_of.get(fid)
         if token is not None:
             seeds.update(state.members.get(token, ()))
-        visited: Set[Fact] = set()
+        visited: Set[int] = set()
         for seed in list(seeds):
             if seed in visited:
                 continue
@@ -188,26 +200,31 @@ class BipartiteGraphMaintainer:
             component = self._component_of(graph, seed)
             visited |= component
             self._reassign_component(graph, state, component)
-        self._sync_block(database, state, fact.block_id())
+        block = state.fact_blocks[fid]
+        if block in database.block_table:
+            state.matching.add_left(block)
+        else:
+            state.matching.remove_left(block)
         return state
 
     # ------------------------------------------------------------------ #
     # reconciliation helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _component_of(graph: SolutionGraph, seed: Fact) -> Set[Fact]:
+    def _component_of(graph: SolutionGraph, seed: int) -> Set[int]:
         """The current connected component of ``seed`` (BFS over the graph)."""
         component = {seed}
         queue = deque((seed,))
+        edges = graph.edges
         while queue:
-            for other in graph.edges.get(queue.popleft(), ()):
+            for other in edges.get(queue.popleft(), ()):
                 if other not in component:
                     component.add(other)
                     queue.append(other)
         return component
 
     def _reassign_component(
-        self, graph: SolutionGraph, state: MatchingState, component: Set[Fact]
+        self, graph: SolutionGraph, state: MatchingState, component: Set[int]
     ) -> None:
         token = state.new_component()
         for member in component:
@@ -220,43 +237,42 @@ class BipartiteGraphMaintainer:
                         del state.members[old]
             state.component_of[member] = token
         state.members[token] = set(component)
+        loops = graph.self_loops
         if graph.is_quasi_clique(component):
             clique = frozenset(component)
             for member in component:
-                self._assign(state, member, clique, member in graph.self_loops)
+                self._assign(state, member, clique, member in loops)
         else:
             for member in component:
-                self._assign(
-                    state, member, frozenset((member,)), member in graph.self_loops
-                )
+                self._assign(state, member, frozenset((member,)), member in loops)
 
     def _assign(
-        self, state: MatchingState, fact: Fact, clique: Clique, is_self_loop: bool
+        self, state: MatchingState, fid: int, clique: Clique, is_self_loop: bool
     ) -> None:
-        old = state.right_of.get(fact)
+        old = state.right_of.get(fid)
         if old == clique:
             return
         if old is not None:
-            self._release(state, fact, old)
-        state.right_of[fact] = clique
+            self._release(state, fid, old)
+        state.right_of[fid] = clique
         if is_self_loop:
-            state.edgeless.add(fact)
+            state.edgeless.add(fid)
         else:
-            state.edgeless.discard(fact)
+            state.edgeless.discard(fid)
         refs = state.right_refs.get(clique, 0) + 1
         state.right_refs[clique] = refs
         if refs == 1:
             state.matching.add_right(clique)
         if not is_self_loop:
-            edge = (fact.block_id(), clique)
+            edge = (state.fact_blocks[fid], clique)
             edge_refs = state.edge_refs.get(edge, 0) + 1
             state.edge_refs[edge] = edge_refs
             if edge_refs == 1:
                 state.matching.add_edge(*edge)
 
-    def _release(self, state: MatchingState, fact: Fact, clique: Clique) -> None:
-        if fact not in state.edgeless:
-            edge = (fact.block_id(), clique)
+    def _release(self, state: MatchingState, fid: int, clique: Clique) -> None:
+        if fid not in state.edgeless:
+            edge = (state.fact_blocks[fid], clique)
             edge_refs = state.edge_refs.get(edge, 0) - 1
             if edge_refs > 0:
                 state.edge_refs[edge] = edge_refs
@@ -270,28 +286,18 @@ class BipartiteGraphMaintainer:
             state.right_refs.pop(clique, None)
             state.matching.remove_right(clique)
 
-    def _purge(self, state: MatchingState, fact: Fact) -> None:
-        old = state.right_of.pop(fact, None)
+    def _purge(self, state: MatchingState, fid: int) -> None:
+        old = state.right_of.pop(fid, None)
         if old is not None:
-            self._release(state, fact, old)
-        state.edgeless.discard(fact)
-        token = state.component_of.pop(fact, None)
+            self._release(state, fid, old)
+        state.edgeless.discard(fid)
+        token = state.component_of.pop(fid, None)
         if token is not None:
             bucket = state.members.get(token)
             if bucket is not None:
-                bucket.discard(fact)
+                bucket.discard(fid)
                 if not bucket:
                     del state.members[token]
-
-    @staticmethod
-    def _sync_block(
-        database: Database, state: MatchingState, block_id: BlockId
-    ) -> None:
-        """Mirror the touched block's existence as a left vertex of ``H``."""
-        if database.block_by_id(block_id) is not None:
-            state.matching.add_left(block_id)
-        else:
-            state.matching.remove_left(block_id)
 
 
 #: Shared per-query maintainer instances (leak-guarded, as in repro.eval.deltas).
@@ -325,19 +331,20 @@ class MatchingAlgorithm:
     # public API
     # ------------------------------------------------------------------ #
     def run(
-        self, database: Database, graph: Optional[SolutionGraph] = None
+        self, database: Database, graph: Optional[FactGraph] = None
     ) -> MatchingResult:
         """Run ``matching(q)``.
 
-        ``graph`` optionally injects a precomputed solution graph (used by
-        the differential tests to drive the algorithm off the naive
+        ``graph`` optionally injects a precomputed :class:`FactGraph` (used
+        by the differential tests to drive the algorithm off the naive
         construction); that path computes everything from scratch.  By
         default the run reads the delta-maintained :class:`MatchingState`
         through the database cache: an unchanged database returns the
         memoised matching outright, and a mutated one replays the pending
         fact deltas through :class:`BipartiteGraphMaintainer` and repairs
         the matching by augmenting paths — no Hopcroft–Karp rerun, no
-        ``H(D, q)`` rebuild.
+        ``H(D, q)`` rebuild.  The result is the state's ``Fact`` view;
+        :meth:`matches` reads the state without building one.
         """
         if graph is not None:
             bipartite = self._build_bipartite(database, graph, graph.clique_map())
@@ -349,18 +356,30 @@ class MatchingAlgorithm:
                 solution_graph=graph,
                 bipartite_graph=bipartite,
             )
-        graph = build_solution_graph(self.query, database)
-        state = self.state(database)
-        state.matching.repair()
-        if self.self_check:
-            state.matching.self_check(deep=True)
-        matching = dict(state.matching.match_left)
-        saturating = len(matching) == database.block_count()
+        state = self._repaired(database)
+        table = database.block_table
+        fact = database.fact
+
+        def block_id(number: int):
+            return table[number].block_id
+
+        def clique(ids: Clique) -> FrozenSet[Fact]:
+            return frozenset(fact(fid) for fid in ids)
+
+        bipartite = BipartiteGraph()
+        for left in state.bipartite.left_vertices:
+            bipartite.add_left(block_id(left))
+        for right in state.bipartite.right_vertices:
+            bipartite.add_right(clique(right))
+        for left in state.bipartite.left_vertices:
+            for right in state.bipartite.neighbours(left):
+                bipartite.add_edge(block_id(left), clique(right))
+        matched = state.matching.match_left
         return MatchingResult(
-            has_saturating_matching=saturating,
-            matching=matching,
-            solution_graph=graph,
-            bipartite_graph=state.bipartite,
+            has_saturating_matching=len(matched) == database.block_count(),
+            matching={block_id(left): clique(right) for left, right in matched.items()},
+            solution_graph=build_solution_graph(self.query, database),
+            bipartite_graph=bipartite,
         )
 
     def state(self, database: Database) -> MatchingState:
@@ -370,9 +389,17 @@ class MatchingAlgorithm:
             matching_cache_key(self.query), maintainer.build, maintainer=maintainer
         )
 
+    def _repaired(self, database: Database) -> MatchingState:
+        """The state, with its matching restored to maximum."""
+        state = self.state(database)
+        state.matching.repair()
+        if self.self_check:
+            state.matching.self_check(deep=True)
+        return state
+
     def matches(self, database: Database) -> bool:
         """The paper's ``D |= matching(q)``."""
-        return self.run(database).has_saturating_matching
+        return len(self._repaired(database).matching.match_left) == database.block_count()
 
     def certain_by_negation(self, database: Database) -> bool:
         """The value of ``¬matching(q)``; exact on clique-databases (Prop. 10.3)."""
@@ -390,32 +417,39 @@ class MatchingAlgorithm:
         that repair falsifies ``q``: two chosen facts in one solution would
         share a component, hence a clique matched to two blocks.  Elsewhere
         two chosen singletons may form a solution, so the repair is returned
-        only once ``q.satisfied_by`` confirms it falsifies ``q``; a returned
-        repair therefore certifies non-certainty on any database.  The
-        engine calls this right after ``certain_by_negation``, on the state
-        that call has just repaired.
+        only once the solution graph confirms that no two chosen facts form
+        a solution; a returned repair therefore certifies non-certainty on
+        any database.  The engine calls this right after
+        ``certain_by_negation``, on the state that call has just repaired.
+        The choice runs on fact ids; only the returned repair holds
+        ``Fact`` objects.
         """
-        state = self.state(database)
-        state.matching.repair()
+        state = self._repaired(database)
         matched = state.matching.match_left
         if len(matched) != database.block_count():
             return None
-        self_loops = build_solution_graph(self.query, database).self_loops
-        chosen: List[Fact] = []
+        graph = build_solution_graph(self.query, database)
+        self_loops = graph.self_loops
+        chosen: List[int] = []
         for block in database.blocks():
-            clique = matched.get(block.block_id)
+            clique = matched.get(block.index)
             if clique is None:
                 return None
-            for fact in block.facts:
-                if fact in clique and fact not in self_loops:
-                    chosen.append(fact)
+            for fid in block.ids:
+                if fid in clique and fid not in self_loops:
+                    chosen.append(fid)
                     break
             else:
                 return None
-        repair = Repair(tuple(chosen))
-        if self.query.satisfied_by(repair):
-            return None
-        return repair
+        # A repair satisfies q iff it holds a self-loop or both ends of an
+        # edge: the solutions inside a repair are the database's.
+        picked = set(chosen)
+        edges = graph.edges
+        for fid in chosen:
+            if not edges[fid].isdisjoint(picked):
+                return None
+        fact = database.fact
+        return Repair(tuple(fact(fid) for fid in chosen))
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -423,7 +457,7 @@ class MatchingAlgorithm:
     def _build_bipartite(
         self,
         database: Database,
-        graph: SolutionGraph,
+        graph: FactGraph,
         cliques: Dict[Fact, FrozenSet[Fact]],
     ) -> BipartiteGraph:
         bipartite = BipartiteGraph()
@@ -455,8 +489,8 @@ def witness_repair_from_matching(
     """:meth:`MatchingAlgorithm.witness_repair` for a one-off call.
 
     The engine runs that step on the ``Cert_k ∨ ¬matching`` path before any
-    SAT solve.  Its ``q.satisfied_by`` check makes a returned repair a
-    certificate of non-certainty on any database; ``None`` means "certain"
+    SAT solve.  Its check against the solution graph makes a returned repair
+    a certificate of non-certainty on any database; ``None`` means "certain"
     only on a clique-database (Proposition 10.3).
     """
     return MatchingAlgorithm(query).witness_repair(database)

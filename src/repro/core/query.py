@@ -239,14 +239,18 @@ class TwoAtomQuery:
         """
         index = getattr(facts, "index", None)
         if isinstance(index, FactIndex):
-            materialised = list(facts)
+            ids = facts.ids()
         else:
             index = None
             materialised = facts if isinstance(facts, list) else list(facts)
             if len(materialised) >= _INDEX_THRESHOLD:
-                index = FactIndex(materialised)
-                if len(index) != len(materialised):  # duplicates: scan instead
+                try:
+                    index = FactIndex(materialised)
+                except ValueError:  # one relation name, two signatures: scan
                     index = None
+                if index is not None and len(index) != len(materialised):
+                    index = None  # duplicates: scan instead
+                ids = range(len(materialised))
         if index is None:
             for first in materialised:
                 partials = self._partial_assignments_a(first)
@@ -256,7 +260,9 @@ class TwoAtomQuery:
                     if self._extends_to_b(partials, second):
                         yield (first, second)
             return
-        yield from AtomMatcher(self.atom_a, self.atom_b).pairs(index, materialised)
+        fact = index.fact
+        for first, second in AtomMatcher(self.atom_a, self.atom_b).pairs(index, ids):
+            yield fact(first), fact(second)
 
     def _partial_assignments_a(self, fact: Fact) -> Optional[Dict[str, Element]]:
         return self.atom_a.match(fact)

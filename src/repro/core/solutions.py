@@ -5,90 +5,87 @@ an undirected graph ``G(D, q)``: vertices are the facts of ``D`` and an edge
 joins ``a`` and ``b`` whenever ``D |= q{a b}``.  The matching-based algorithm
 (Section 10.1) and the component decomposition of Proposition 10.6 are both
 phrased in terms of this graph, as are quasi-cliques and clique-databases.
+
+The graph the algorithms read, :class:`SolutionGraph`, and the block
+partition built on it, :class:`BlockPartition`, run on the database's dense
+fact ids and block indices (see :class:`~repro.db.fact_store.Database`):
+no ``Fact`` is built, hashed or compared on their paths.  ``Fact`` vertices
+appear only in :class:`FactGraph`, the graph's view for tests and cold
+consumers and the result of the naive oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..db.fact_store import BlockId, Database
+from ..db.fact_store import Database
 from ..eval.deltas import FactDelta, graph_maintainer
 from ..graphs.components import connected_components
 from .query import TwoAtomQuery
 from .terms import Fact
 
-_NO_FACTS: FrozenSet[Fact] = frozenset()
+_NO_VERTICES: FrozenSet = frozenset()
 
 
-@dataclass
-class SolutionGraph:
-    """The undirected solution graph ``G(D, q)`` plus directed solution data.
+class _Graph:
+    """The undirected graph algorithms shared by both vertex kinds.
 
-    ``facts`` holds the vertices in insertion order (a dict mapping each fact
-    to ``None``, so a delta removes one in ``O(1)``), ``edges`` the
-    undirected adjacency (``q{a b}``, with ``a != b``), ``directed`` the
-    ordered solutions (``q(a b)``), and ``self_loops`` the facts ``a`` with
-    ``q(a a)``.
-
-    The graph is a live view when cached on a database: fact deltas are
-    spliced in by :class:`~repro.eval.deltas.SolutionGraphMaintainer` (see
-    :meth:`apply_delta`).  The graph keeps no decomposition of its own:
-    :meth:`components` and :meth:`clique_map` are computed on demand, and
-    the maintained partitions the answer path reads are the block
-    components ``Cert_k`` runs on (:class:`BlockComponentMaintainer`) and
-    the matching's (:class:`~repro.core.matching.BipartiteGraphMaintainer`).
+    ``edges`` maps every vertex, in insertion order, to its neighbours
+    (``q{a b}`` with ``a != b``); ``self_loops`` holds the vertices ``a``
+    with ``q(a a)``.  ``_block`` maps a vertex to its block.
     """
 
-    facts: Dict[Fact, None]
-    edges: Dict[Fact, Set[Fact]] = field(default_factory=dict)
-    directed: Set[Tuple[Fact, Fact]] = field(default_factory=set)
-    self_loops: Set[Fact] = field(default_factory=set)
+    __slots__ = ("edges", "self_loops")
+    _block: Callable[[Hashable], Hashable]
 
-    # ------------------------------------------------------------------ #
-    # queries on the graph
-    # ------------------------------------------------------------------ #
-    def neighbours(self, fact: Fact) -> Set[Fact]:
-        return set(self.edges.get(fact, _NO_FACTS))
+    def __init__(self, edges: Dict, self_loops: Set) -> None:
+        self.edges = edges
+        self.self_loops = self_loops
 
-    def has_edge(self, first: Fact, second: Fact) -> bool:
-        return second in self.edges.get(first, _NO_FACTS)
+    @property
+    def facts(self) -> Dict:
+        """The vertices, in insertion order (the ``edges`` dict itself)."""
+        return self.edges
 
-    def has_directed(self, first: Fact, second: Fact) -> bool:
-        return (first, second) in self.directed
+    def neighbours(self, vertex) -> Set:
+        return set(self.edges.get(vertex, _NO_VERTICES))
+
+    def has_edge(self, first, second) -> bool:
+        return second in self.edges.get(first, _NO_VERTICES)
 
     def edge_count(self) -> int:
         return sum(len(adjacent) for adjacent in self.edges.values()) // 2
 
-    def components(self) -> List[List[Fact]]:
-        """Connected components of the undirected graph (isolated facts included)."""
+    def components(self) -> List[List]:
+        """Connected components of the undirected graph (isolated vertices included)."""
         return connected_components(
-            self.facts,
-            ((fact, other) for fact, adjacent in self.edges.items() for other in adjacent),
+            self.edges,
+            ((vertex, other) for vertex, adjacent in self.edges.items() for other in adjacent),
         )
 
-    def is_quasi_clique(self, component: Iterable[Fact]) -> bool:
+    def is_quasi_clique(self, component: Iterable) -> bool:
         """Quasi-clique test of Section 10.1, in ``O(|C| + edges of C)``.
 
         ``C`` is a quasi-clique when every pair of its facts that are *not*
         key-equal is joined by an edge.  That holds iff every member has as
         many neighbours in ``C`` outside its own block as ``C`` has members
         outside that block: a degree count, no pairwise sweep.  Only
-        neighbours inside ``C`` count, so any fact collection can be tested,
-        not just a whole component.
+        neighbours inside ``C`` count, so any vertex collection can be
+        tested, not just a whole component.
         """
         members = component if isinstance(component, (set, frozenset)) else set(component)
         total = len(members)
         if total <= 1:
             return True
-        blocks: Dict[BlockId, Set[Fact]] = {}
+        block_of = self._block
+        blocks: Dict[Hashable, Set] = {}
         for member in members:
-            blocks.setdefault(member.block_id(), set()).add(member)
+            blocks.setdefault(block_of(member), set()).add(member)
         edges = self.edges
         for block in blocks.values():
             required = total - len(block)
             for member in block:
-                adjacent = edges.get(member, _NO_FACTS)
+                adjacent = edges.get(member, _NO_VERTICES)
                 if len(adjacent & members) - len(adjacent & block) != required:
                     return False
         return True
@@ -97,13 +94,13 @@ class SolutionGraph:
         """Whether every connected component is a quasi-clique (Section 10.1)."""
         return all(self.is_quasi_clique(component) for component in self.components())
 
-    def clique_map(self) -> Dict[Fact, FrozenSet[Fact]]:
-        """The paper's ``clique(a)`` for every fact.
+    def clique_map(self) -> Dict[Hashable, FrozenSet]:
+        """The paper's ``clique(a)`` for every vertex.
 
-        Computed component-wise: facts of a quasi-clique component map to the
-        whole component, all other facts to their singleton.
+        Computed component-wise: members of a quasi-clique component map to
+        the whole component, all other vertices to their singleton.
         """
-        cliques: Dict[Fact, FrozenSet[Fact]] = {}
+        cliques: Dict[Hashable, FrozenSet] = {}
         for component in self.components():
             if self.is_quasi_clique(component):
                 frozen = frozenset(component)
@@ -114,27 +111,104 @@ class SolutionGraph:
                     cliques[member] = frozenset((member,))
         return cliques
 
-    def clique_of(self, fact: Fact) -> FrozenSet[Fact]:
+    def clique_of(self, vertex) -> FrozenSet:
         """The paper's ``clique(a)``.
 
         The connected component of ``a`` when that component is a
         quasi-clique, the singleton ``{a}`` otherwise.
         """
-        clique = self.clique_map().get(fact)
+        clique = self.clique_map().get(vertex)
         if clique is None:
-            raise KeyError(f"fact {fact} does not belong to the graph")
+            raise KeyError(f"{vertex} does not belong to the graph")
         return clique
 
-    # ------------------------------------------------------------------ #
-    # delta plumbing
-    # ------------------------------------------------------------------ #
-    def apply_delta(self, query: TwoAtomQuery, database: Database, delta: FactDelta) -> None:
-        """Splice one fact delta into the graph (see :mod:`repro.eval.deltas`).
 
-        Convenience wrapper for callers holding a graph outside the
-        database's cache; the cached copy is maintained automatically.
-        """
-        graph_maintainer(query)(database, self, delta)
+class FactGraph(_Graph):
+    """``G(D, q)`` over ``Fact`` vertices, with the ordered solutions ``directed``.
+
+    The :meth:`SolutionGraph.view` of the id graph, read by tests and cold
+    consumers (the tripath search, :class:`~repro.eval.evaluator.IndexedEvaluator`),
+    and the result of the independent oracle
+    :func:`build_solution_graph_naive`.
+    """
+
+    __slots__ = ("directed",)
+    _block = staticmethod(Fact.block_id)
+
+    def __init__(
+        self, edges: Dict[Fact, Set[Fact]], self_loops: Set[Fact], directed: Set[Tuple[Fact, Fact]]
+    ) -> None:
+        super().__init__(edges, self_loops)
+        self.directed = directed
+
+    def has_directed(self, first: Fact, second: Fact) -> bool:
+        return (first, second) in self.directed
+
+
+class SolutionGraph(_Graph):
+    """The undirected solution graph ``G(D, q)`` on a database's fact ids.
+
+    ``edges`` maps every live fact id, in insertion order, to the ids it
+    forms a solution with (``q{a b}``, ``a != b``), and ``self_loops`` holds
+    the ids ``a`` with ``q(a a)``.  No answer path reads the ordered
+    solutions ``q(a b)``, so the graph does not store them: :meth:`directed_ids`
+    probes the database's index for them, and :meth:`view` is the ``Fact``
+    view cold consumers and tests read.
+
+    The graph is a live view when cached on a database: fact deltas are
+    spliced in by :class:`~repro.eval.deltas.SolutionGraphMaintainer`.  The
+    maintained partitions the answer path reads are the block components
+    ``Cert_k`` runs on (:class:`BlockComponentMaintainer`) and the
+    matching's (:class:`~repro.core.matching.BipartiteGraphMaintainer`).
+    """
+
+    __slots__ = ("query", "_index", "_fact_blocks")
+
+    def __init__(
+        self,
+        query: TwoAtomQuery,
+        database: Database,
+        edges: Dict[int, Set[int]],
+        self_loops: Set[int],
+    ) -> None:
+        super().__init__(edges, self_loops)
+        self.query = query
+        # The database's own tables, not the database: a graph cached on
+        # its database must not form a reference cycle with it.
+        self._index = database.index
+        self._fact_blocks = database.fact_blocks
+
+    @property
+    def _block(self) -> Callable[[int], int]:
+        return self._fact_blocks.__getitem__
+
+    @classmethod
+    def from_pairs(
+        cls, query: TwoAtomQuery, database: Database, pairs: Iterable[Tuple[int, int]]
+    ) -> "SolutionGraph":
+        """Assemble ``G(D, q)`` from ordered solution pairs of fact ids."""
+        edges: Dict[int, Set[int]] = {fid: set() for fid in database.ids()}
+        self_loops: Set[int] = set()
+        for first, second in pairs:
+            if first == second:
+                self_loops.add(first)
+            else:
+                edges[first].add(second)
+                edges[second].add(first)
+        return cls(query, database, edges, self_loops)
+
+    def directed_ids(self) -> Iterator[Tuple[int, int]]:
+        """The ordered solutions ``q(a b)`` as id pairs, probed from the index."""
+        return graph_maintainer(self.query).a_to_b.pairs(self._index, list(self.edges))
+
+    def view(self) -> FactGraph:
+        """This graph over ``Fact`` vertices (a snapshot, built per call)."""
+        fact = self._index.fact
+        return FactGraph(
+            {fact(fid): {fact(other) for other in adjacent} for fid, adjacent in self.edges.items()},
+            {fact(fid) for fid in self.self_loops},
+            {(fact(first), fact(second)) for first, second in self.directed_ids()},
+        )
 
 
 def solution_graph_cache_key(query: TwoAtomQuery) -> Tuple[str, TwoAtomQuery]:
@@ -148,7 +222,7 @@ def solution_graph_cache_key(query: TwoAtomQuery) -> Tuple[str, TwoAtomQuery]:
 
 
 def build_solution_graph(query: TwoAtomQuery, database: Database) -> SolutionGraph:
-    """Compute ``G(D, q)`` together with directed solutions and self-loops.
+    """Compute ``G(D, q)`` on the database's fact ids.
 
     The graph is found by probing the database's incremental hash index: for
     every fact matching atom ``A``, the partners for atom ``B`` are read from
@@ -169,39 +243,38 @@ def build_solution_graph(query: TwoAtomQuery, database: Database) -> SolutionGra
     )
 
 
+def _build_solution_graph_indexed(query: TwoAtomQuery, database: Database) -> SolutionGraph:
+    ids = database.ids()
+    pairs = graph_maintainer(query).a_to_b.pairs(database.index, ids)
+    return SolutionGraph.from_pairs(query, database, pairs)
+
+
 def solution_graph_from_pairs(
     facts: Iterable[Fact], pairs: Iterable[Tuple[Fact, Fact]]
-) -> SolutionGraph:
-    """Assemble ``G(D, q)`` from the ordered solution pairs ``q(D)``.
+) -> FactGraph:
+    """Assemble a :class:`FactGraph` from ordered solution pairs of facts.
 
-    The single accretion point shared by the indexed builder, the naive
-    oracle and the SQLite pushdown — all three only differ in how the pairs
-    are produced.
+    The accretion point of the naive oracle, and of any graph over ``Fact``
+    vertices (the pairs need not be solutions of anything).
     """
     edges: Dict[Fact, Set[Fact]] = {fact: set() for fact in facts}
-    # fromkeys over a dict reuses its stored hashes (Fact.__hash__ is Python).
-    graph = SolutionGraph(facts=dict.fromkeys(edges), edges=edges)
+    graph = FactGraph(edges, set(), set())
     for first, second in pairs:
         graph.directed.add((first, second))
         if first == second:
             graph.self_loops.add(first)
         else:
-            graph.edges[first].add(second)
-            graph.edges[second].add(first)
+            edges[first].add(second)
+            edges[second].add(first)
     return graph
 
 
-def _build_solution_graph_indexed(query: TwoAtomQuery, database: Database) -> SolutionGraph:
-    facts = database.facts()
-    pairs = graph_maintainer(query).a_to_b.pairs(database.index, facts)
-    return solution_graph_from_pairs(facts, pairs)
+def build_solution_graph_naive(query: TwoAtomQuery, database: Database) -> FactGraph:
+    """The seed all-pairs construction of ``G(D, q)``, over ``Fact`` vertices.
 
-
-def build_solution_graph_naive(query: TwoAtomQuery, database: Database) -> SolutionGraph:
-    """The seed all-pairs construction of ``G(D, q)``.
-
-    Kept as the differential-testing oracle for :func:`build_solution_graph`;
-    quadratic in the number of facts.
+    Kept as the differential-testing oracle for :func:`build_solution_graph`
+    (compare through :meth:`SolutionGraph.view`); quadratic in the number
+    of facts.
     """
     facts = database.facts()
 
@@ -220,17 +293,18 @@ def build_solution_graph_naive(query: TwoAtomQuery, database: Database) -> Solut
 class BlockComponent:
     """One ``q``-connected block component of Proposition 10.6.
 
-    ``blocks`` lists its block ids, ``size`` counts its facts, and ``memo``
-    maps ``k`` to the component's finished ``Cert_k`` fixpoint as
-    ``(certain, facts, antichain)`` (see :meth:`repro.core.certk.CertK.run`).
-    A record is never edited: a delta that touches the component retires it
-    and derives a fresh one, so a live record's memo always describes the
-    component's current facts and solutions.
+    ``blocks`` lists its block indices, ``size`` counts its facts, and
+    ``memo`` maps ``k`` to the component's finished ``Cert_k`` fixpoint as
+    ``(certain, antichain)`` over fact ids (see
+    :meth:`repro.core.certk.CertK.run`).  A record is never edited: a delta
+    that touches the component retires it and derives a fresh one, so a
+    live record's memo always describes the component's current facts and
+    solutions.
     """
 
     __slots__ = ("blocks", "size", "memo")
 
-    def __init__(self, blocks: List[BlockId], size: int) -> None:
+    def __init__(self, blocks: List[int], size: int) -> None:
         self.blocks = blocks
         self.size = size
         self.memo: Dict[int, tuple] = {}
@@ -239,23 +313,24 @@ class BlockComponent:
 class BlockPartition:
     """The partition of a database into :class:`BlockComponent` records.
 
-    ``component_of`` maps every block id to its record; ``components`` holds
-    the live records in creation order (a dict used as an ordered set).
+    ``component_of`` maps every block index to its record; ``components``
+    holds the live records in creation order (a dict used as an ordered
+    set).
     """
 
     __slots__ = ("component_of", "components", "_databases")
 
     def __init__(self) -> None:
-        self.component_of: Dict[BlockId, BlockComponent] = {}
+        self.component_of: Dict[int, BlockComponent] = {}
         self.components: Dict[BlockComponent, None] = {}
         self._databases: Optional[List[Database]] = None
 
     def materialize(self, database: Database) -> List[Database]:
         """The component sub-databases of ``database``, memoised until a delta."""
         if self._databases is None:
-            block_by_id = database.block_by_id
+            table = database.block_table
             self._databases = [
-                Database(fact for key in component.blocks for fact in block_by_id(key).facts)
+                Database(fact for number in component.blocks for fact in table[number].facts)
                 for component in self.components
             ]
         return self._databases
@@ -278,6 +353,8 @@ class BlockComponentMaintainer:
     record's blocks land in fresh records or leave with their last fact.
     Records no delta reaches keep their identity and their memo, and the
     maintainer never raises :class:`~repro.eval.deltas.DeltaUnsupported`.
+    Blocks are named by their index, which a block keeps for its life (a
+    block that empties and fills again is a new block with a new index).
     """
 
     def __init__(self, query: TwoAtomQuery) -> None:
@@ -287,22 +364,23 @@ class BlockComponentMaintainer:
         graph = build_solution_graph(self.query, database)
         partition = BlockPartition()
         for block in database.blocks():
-            if block.block_id not in partition.component_of:
-                self._derive(database, graph, partition, block.block_id, [])
+            if block.index not in partition.component_of:
+                self._derive(database, graph, partition, block.index, [])
         return partition
 
     def __call__(
         self, database: Database, partition: BlockPartition, delta: FactDelta
     ) -> BlockPartition:
         graph = build_solution_graph(self.query, database)
-        key = delta.fact.block_id()
+        key = database.fact_blocks[delta.fid]
         pending = [key]
         _retire(partition, partition.component_of.get(key), pending)
+        table = database.block_table
         while pending:
             key = pending.pop()
             if partition.component_of.get(key) in partition.components:
                 continue  # already re-derived: queued blocks had retired records
-            if database.block_by_id(key) is None:  # its last fact left
+            if key not in table:  # its last fact left
                 partition.component_of.pop(key, None)
                 continue
             self._derive(database, graph, partition, key, pending)
@@ -314,8 +392,8 @@ class BlockComponentMaintainer:
         database: Database,
         graph: SolutionGraph,
         partition: BlockPartition,
-        start: BlockId,
-        pending: List[BlockId],
+        start: int,
+        pending: List[int],
     ) -> None:
         """Record the current component of block ``start`` afresh.
 
@@ -323,15 +401,17 @@ class BlockComponentMaintainer:
         ``pending``.
         """
         edges = graph.edges
+        table = database.block_table
+        block_of = database.fact_blocks
         blocks = [start]
         seen = {start}
         size = 0
         for key in blocks:  # grows while it is walked: a breadth-first search
-            facts = database.block_by_id(key).facts
-            size += len(facts)
-            for fact in facts:
-                for other in edges.get(fact, _NO_FACTS):
-                    reached = other.block_id()
+            ids = table[key].ids
+            size += len(ids)
+            for fid in ids:
+                for other in edges.get(fid, _NO_VERTICES):
+                    reached = block_of[other]
                     if reached not in seen:
                         seen.add(reached)
                         blocks.append(reached)
@@ -344,7 +424,7 @@ class BlockComponentMaintainer:
 
 
 def _retire(
-    partition: BlockPartition, record: Optional[BlockComponent], pending: List[BlockId]
+    partition: BlockPartition, record: Optional[BlockComponent], pending: List[int]
 ) -> None:
     """Drop a live ``record`` and queue its blocks for re-derivation."""
     if record is not None and record in partition.components:

@@ -443,7 +443,7 @@ class _DatabaseTripathSearch:
         self.database = database
         self.max_depth = max_depth
         self.facts = database.facts()
-        graph = build_solution_graph(query, database)
+        graph = build_solution_graph(query, database).view()
         order = {fact: position for position, fact in enumerate(self.facts)}
         self._succ: Dict[Fact, List[Fact]] = {}
         self._pred: Dict[Fact, List[Fact]] = {}

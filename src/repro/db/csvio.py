@@ -60,7 +60,7 @@ def _load_rows(
     has_header: bool,
     source: object,
 ) -> Database:
-    database = Database()
+    rows = []
     for index, row in enumerate(reader):
         if has_header and index == 0:
             continue
@@ -71,7 +71,9 @@ def _load_rows(
                 f"row {index} of {source} has {len(row)} columns, "
                 f"expected {schema.arity}"
             )
-        database.add(Fact(schema, tuple(value.strip() for value in row)))
+        rows.append(tuple(value.strip() for value in row))
+    database = Database()
+    database.add_rows(schema, rows)
     return database
 
 

@@ -8,9 +8,12 @@ the library.
 Beyond the set semantics, the class maintains evaluation infrastructure
 incrementally on every mutation:
 
-* a :class:`~repro.eval.fact_index.FactIndex` (schema and position-pattern
-  hash indexes) that the indexed evaluation layer probes instead of scanning
-  all facts;
+* dense fact ids: a :class:`~repro.eval.fact_index.FactIndex` gives every
+  distinct fact an id at insert and holds its value row, the database keeps
+  each id's block, and the derived structures run on these ids (``Fact``
+  objects are built on first request);
+* the index's schema and position-pattern hash indexes over the ids, which
+  the indexed evaluation layer probes instead of scanning all facts;
 * a *version counter* bumped on every successful ``add``/``remove``;
 * a keyed cache of derived structures (e.g. the solution graph of a query)
   kept consistent through the *delta pipeline*: every mutation that a cached
@@ -29,7 +32,6 @@ cache key (:meth:`Database.derived_cache_stats`) and process-wide
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -103,27 +105,32 @@ class _DerivedEntry:
 
 
 class Block:
-    """A maximal set of key-equal facts.
+    """A maximal set of key-equal facts, held as the live fact ids of one block.
 
-    Facts are stored in an insertion-ordered dict so that membership tests
-    and removals are O(1) while enumeration order stays deterministic.  The
-    :attr:`facts` property exposes them as a cached tuple: read access stays
-    cheap on the hot paths that index into blocks repeatedly, and attempts
-    to mutate the sequence fail loudly instead of silently bypassing the
-    database's indexes (mutations must go through :class:`Database`).
+    ``index`` is the block's dense index in its database: block indices
+    count up in creation order and are never reused, like fact ids.  ``ids``
+    maps the member ids to ``None`` in insertion order (an O(1) membership
+    test and removal with a deterministic enumeration order).  The
+    :attr:`facts` property exposes the members as a cached tuple of
+    ``Fact`` objects, built on first read: attempts to mutate the sequence
+    fail loudly instead of silently bypassing the database's indexes
+    (mutations must go through :class:`Database`).
     """
 
-    __slots__ = ("block_id", "_facts", "_facts_view")
+    __slots__ = ("block_id", "index", "ids", "_table", "_facts_view")
 
-    def __init__(self, block_id: BlockId, facts: Iterable[Fact] = ()) -> None:
+    def __init__(self, block_id: BlockId, index: int, table: FactIndex) -> None:
         self.block_id = block_id
-        self._facts: Dict[Fact, None] = dict.fromkeys(facts)
+        self.index = index
+        self.ids: Dict[int, None] = {}
+        self._table = table
         self._facts_view: Optional[Tuple[Fact, ...]] = None
 
     @property
     def facts(self) -> Tuple[Fact, ...]:
         if self._facts_view is None:
-            self._facts_view = tuple(self._facts)
+            fact = self._table.fact
+            self._facts_view = tuple(fact(fid) for fid in self.ids)
         return self._facts_view
 
     @property
@@ -132,28 +139,20 @@ class Block:
 
     @property
     def size(self) -> int:
-        return len(self._facts)
+        return len(self.ids)
 
     def is_consistent(self) -> bool:
         """A block is consistent when it contains a single fact."""
-        return len(self._facts) == 1
-
-    def _add(self, fact: Fact) -> None:
-        self._facts[fact] = None
-        self._facts_view = None
-
-    def _discard(self, fact: Fact) -> None:
-        self._facts.pop(fact, None)
-        self._facts_view = None
+        return len(self.ids) == 1
 
     def __iter__(self) -> Iterator[Fact]:
-        return iter(self._facts)
+        return iter(self.facts)
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return len(self.ids)
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self._facts
+        return self._table.id_of(fact) in self.ids
 
     def __repr__(self) -> str:
         return f"Block(block_id={self.block_id!r}, facts={self.facts!r})"
@@ -165,7 +164,17 @@ class Database:
     The insertion order of facts is preserved (it makes repair enumeration
     and error messages deterministic), duplicates are ignored, and facts may
     span several relation schemas — although the paper only ever needs one,
-    the reduction of Proposition 4.1 temporarily uses two.
+    the reduction of Proposition 4.1 temporarily uses two.  A relation name
+    has one signature (Section 2): a fact of a second signature for a known
+    name is rejected with ``ValueError``.
+
+    Every distinct fact gets a dense integer id at insert (see
+    :class:`~repro.eval.fact_index.FactIndex`, which holds the rows): ids
+    follow insertion order, stay fixed for the fact's life and are never
+    reused.  The database stores each fact's block by id, and the derived
+    structures of the algorithm stack run on these ids; ``Fact`` objects are
+    built on first request (:meth:`fact`) and kept, and a ``Fact`` passed to
+    :meth:`add` is the one kept.
     """
 
     #: Pending deltas tolerated per cached structure before a rebuild is
@@ -173,9 +182,14 @@ class Database:
     delta_backlog_limit = 256
 
     def __init__(self, facts: Iterable[Fact] = ()) -> None:
-        self._facts: "OrderedDict[Fact, None]" = OrderedDict()
-        self._blocks: "OrderedDict[BlockId, Block]" = OrderedDict()
         self._index = FactIndex()
+        #: fact id -> block index (kept after the fact leaves, for replays).
+        self._block_of: List[int] = []
+        #: block index -> Block, the live blocks only, in creation order.
+        self._blocks: Dict[int, Block] = {}
+        self._next_block = 0
+        #: relation name -> key tuple -> index of the live block.
+        self._block_keys: Dict[str, Dict[Tuple[Element, ...], int]] = {}
         self._version = 0
         self._derived: Dict[Hashable, _DerivedEntry] = {}
         self._derived_stats: Dict[Hashable, Dict[str, int]] = {}
@@ -192,33 +206,75 @@ class Database:
     # ------------------------------------------------------------------ #
     def add(self, fact: Fact) -> bool:
         """Insert a fact; returns False when it was already present."""
-        if fact in self._facts:
+        index = self._index
+        if not index.add(fact):
             return False
-        self._facts[fact] = None
-        block = self._blocks.get(fact.block_id())
-        if block is None:
-            block = Block(fact.block_id())
-            self._blocks[fact.block_id()] = block
-        block._add(fact)
-        self._index.add(fact)
-        self._emit(ADD, fact)
+        fid = len(index.rows) - 1
+        self._file(fact.schema, fid, fid + 1)
+        self._emit(ADD, fid, fact)
         return True
 
     def add_all(self, facts: Iterable[Fact]) -> int:
         """Insert many facts; returns the number of new facts."""
         return sum(1 for fact in facts if self.add(fact))
 
+    def add_rows(self, schema: RelationSchema, rows: Iterable[Tuple[Element, ...]]) -> int:
+        """Insert value rows over ``schema``; returns the number of new facts.
+
+        The bulk ingest: the same facts, ids, order, version and errors as
+        ``add_all(Fact(schema, row) for row in rows)``, but no ``Fact`` is
+        built.  Rows must be tuples.  A row of the wrong arity or with an
+        unhashable value raises the error ``Fact`` would raise, and then no
+        row of the call is inserted.
+        """
+        index = self._index
+        start, end = index.add_rows(schema, rows)
+        self._file(schema, start, end)
+        if self._derived or self._delta_listeners:
+            for fid in range(start, end):
+                self._emit(ADD, fid, None)
+        else:
+            self._version += end - start
+        return end - start
+
+    def _file(self, schema: RelationSchema, start: int, end: int) -> None:
+        """Put the new ids ``start .. end - 1`` of ``schema`` into their blocks."""
+        name = schema.name
+        key_size = schema.key_size
+        keys = self._block_keys.get(name)
+        if keys is None:
+            keys = self._block_keys[name] = {}
+        rows = self._index.rows
+        blocks = self._blocks
+        block_of = self._block_of
+        for fid in range(start, end):
+            key = rows[fid][:key_size]
+            number = keys.get(key)
+            if number is None:
+                number = keys[key] = self._next_block
+                self._next_block += 1
+                block = blocks[number] = Block((name, key), number, self._index)
+            else:
+                block = blocks[number]
+                block._facts_view = None
+            block.ids[fid] = None
+            block_of.append(number)
+
     def remove(self, fact: Fact) -> bool:
         """Remove a fact; returns False when it was not present."""
-        if fact not in self._facts:
+        fid = self._index.id_of(fact)
+        if fid is None:
             return False
-        del self._facts[fact]
-        block = self._blocks[fact.block_id()]
-        block._discard(fact)
-        if not len(block):
-            del self._blocks[fact.block_id()]
-        self._index.discard(fact)
-        self._emit(REMOVE, fact)
+        number = self._block_of[fid]
+        block = self._blocks[number]
+        del block.ids[fid]
+        block._facts_view = None
+        if not block.ids:
+            name, key = block.block_id
+            del self._block_keys[name][key]
+            del self._blocks[number]
+        self._index.discard_id(fid)
+        self._emit(REMOVE, fid, fact)
         return True
 
     def copy(self) -> "Database":
@@ -230,6 +286,42 @@ class Database:
         for database in databases:
             merged.add_all(database.facts())
         return merged
+
+    # ------------------------------------------------------------------ #
+    # fact ids
+    # ------------------------------------------------------------------ #
+    def id_of(self, fact: Fact) -> Optional[int]:
+        """The id of ``fact``, or ``None`` when it is not in the database."""
+        return self._index.id_of(fact)
+
+    def fact(self, fid: int) -> Fact:
+        """The ``Fact`` with id ``fid`` (built on first request, then kept).
+
+        An id keeps naming its fact after the fact is removed.
+        """
+        return self._index.fact(fid)
+
+    def ids(self) -> List[int]:
+        """The live fact ids, in insertion order."""
+        tables = self._index.ids
+        if len(tables) == 1:
+            for ids in tables.values():
+                return list(ids.values())
+        return sorted(fid for ids in tables.values() for fid in ids.values())
+
+    @property
+    def fact_blocks(self) -> List[int]:
+        """fact id -> block index, as the database's own list (read only).
+
+        A removed fact keeps its entry, so a delta replayed after the
+        removal still finds the fact's block.
+        """
+        return self._block_of
+
+    @property
+    def block_table(self) -> Dict[int, Block]:
+        """block index -> live :class:`Block`, the database's own dict (read only)."""
+        return self._blocks
 
     # ------------------------------------------------------------------ #
     # indexing and derived-structure caching
@@ -244,7 +336,7 @@ class Database:
         """Monotone counter bumped on every successful mutation."""
         return self._version
 
-    def _emit(self, op: str, fact: Fact) -> None:
+    def _emit(self, op: str, fid: int, fact: Optional[Fact]) -> None:
         """Bump the version and route the delta through the pipeline.
 
         Cached structures with a maintainer receive the delta in their
@@ -253,12 +345,12 @@ class Database:
         delta synchronously, in registration order.  The
         :class:`~repro.eval.deltas.FactDelta` is only built when a cache
         entry or a listener will receive it, so filling a fresh database
-        costs no event objects.
+        costs no event objects (and a bulk ingest no ``Fact`` either).
         """
         self._version += 1
         if not (self._derived or self._delta_listeners):
             return
-        delta = FactDelta(op, fact)
+        delta = FactDelta(op, fact if fact is not None else self._index.fact(fid), fid)
         if self._derived:
             stale = []
             for key, entry in self._derived.items():
@@ -442,31 +534,31 @@ class Database:
     # ------------------------------------------------------------------ #
     def facts(self) -> List[Fact]:
         """All facts, in insertion order."""
-        return list(self._facts)
+        fact = self._index.fact
+        return [fact(fid) for fid in self.ids()]
 
     def __iter__(self) -> Iterator[Fact]:
-        return iter(self._facts)
+        return iter(self.facts())
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return len(self._index)
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self._facts
+        return self._index.id_of(fact) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Database):
             return NotImplemented
-        return set(self._facts) == set(other._facts)
+        return set(self.facts()) == set(other.facts())
 
     def __hash__(self) -> int:  # pragma: no cover - rarely needed
-        return hash(frozenset(self._facts))
+        return hash(frozenset(self.facts()))
 
     def schemas(self) -> List[RelationSchema]:
         """The distinct relation schemas appearing in the database."""
-        seen: "OrderedDict[RelationSchema, None]" = OrderedDict()
-        for fact in self._facts:
-            seen.setdefault(fact.schema, None)
-        return list(seen)
+        index = self._index
+        live = [(next(iter(ids.values())), name) for name, ids in index.ids.items() if ids]
+        return [index.schemas[name] for _, name in sorted(live)]
 
     def blocks(self) -> List[Block]:
         """All blocks, in order of first insertion."""
@@ -474,13 +566,15 @@ class Database:
 
     def block_of(self, fact: Fact) -> Block:
         """The block containing ``fact``."""
-        block = self._blocks.get(fact.block_id())
-        if block is None or fact not in block:
+        fid = self._index.id_of(fact)
+        if fid is None:
             raise KeyError(f"fact {fact} is not in the database")
-        return block
+        return self._blocks[self._block_of[fid]]
 
     def block_by_id(self, block_id: BlockId) -> Optional[Block]:
-        return self._blocks.get(block_id)
+        name, key = block_id
+        number = self._block_keys.get(name, {}).get(key)
+        return None if number is None else self._blocks[number]
 
     def siblings(self, fact: Fact) -> List[Fact]:
         """Facts key-equal to ``fact`` (including ``fact`` itself)."""
@@ -491,23 +585,24 @@ class Database:
 
     def is_consistent(self) -> bool:
         """No two distinct key-equal facts."""
-        return all(block.is_consistent() for block in self._blocks.values())
+        return all(block.is_consistent() for block in self.blocks())
 
     def inconsistent_blocks(self) -> List[Block]:
-        return [block for block in self._blocks.values() if not block.is_consistent()]
+        return [block for block in self.blocks() if not block.is_consistent()]
 
     def active_domain(self) -> FrozenSet[Element]:
         """All elements appearing anywhere in the database."""
         elements: set = set()
-        for fact in self._facts:
-            elements.update(fact.values)
+        rows = self._index.rows
+        for fid in self.ids():
+            elements.update(rows[fid])
         return frozenset(elements)
 
     def restrict(self, facts: Iterable[Fact]) -> "Database":
         """The sub-database induced by the given facts (must all be present)."""
         subset = Database()
         for fact in facts:
-            if fact not in self._facts:
+            if fact not in self:
                 raise KeyError(f"fact {fact} is not in the database")
             subset.add(fact)
         return subset
@@ -519,7 +614,7 @@ class Database:
             max_block = 0
             repairs = 1
             for block in self._blocks.values():
-                size = block.size
+                size = len(block.ids)
                 if size > max_block:
                     max_block = size
                 repairs *= size
@@ -558,7 +653,7 @@ class Database:
     def pretty(self) -> str:
         """Multi-line rendering grouped by block."""
         lines = []
-        for block in self._blocks.values():
+        for block in self.blocks():
             rendered = ", ".join(str(fact) for fact in block)
             lines.append(f"  block {block.key_tuple}: {rendered}")
         return "\n".join(lines)

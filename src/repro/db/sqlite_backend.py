@@ -53,11 +53,7 @@ from ..backends.fragments import (
 )
 from ..backends.streaming import DEFAULT_BATCH_SIZE, BoundedRowStream
 from ..core.query import TwoAtomQuery
-from ..core.solutions import (
-    SolutionGraph,
-    solution_graph_cache_key,
-    solution_graph_from_pairs,
-)
+from ..core.solutions import SolutionGraph, solution_graph_cache_key
 from ..core.terms import Fact, RelationSchema
 from ..eval.deltas import graph_maintainer
 from .fact_store import Database
@@ -199,10 +195,12 @@ class SqliteFactStore:
     def solution_graph(
         self, query: TwoAtomQuery, database: Optional[Database] = None
     ) -> SolutionGraph:
-        """``G(D, q)`` assembled from the SQL self-join's solution pairs."""
+        """``G(D, q)`` on ``database``'s ids, from the SQL self-join's solution pairs."""
         if database is None:
             database = Database(self.fetch_facts())
-        return solution_graph_from_pairs(database.facts(), self.evaluate_query(query))
+        id_of = database.id_of
+        pairs = ((id_of(first), id_of(second)) for first, second in self.evaluate_query(query))
+        return SolutionGraph.from_pairs(query, database, pairs)
 
     def dataset_ref(self):
         """This store as a service-layer dataset reference.

@@ -5,11 +5,12 @@ certain-answer algorithms (:mod:`repro.core`).  It provides hash-index-driven
 discovery of solution pairs so that the algorithm stack never falls back to
 all-pairs scans over the facts:
 
-* :class:`~repro.eval.fact_index.FactIndex` — facts hash-indexed by schema
+* :class:`~repro.eval.fact_index.FactIndex` — a database's fact table
+  (dense fact ids and their value rows) with the ids hash-indexed by schema
   and by arbitrary bound-position patterns, maintained incrementally;
 * :class:`~repro.eval.matcher.AtomMatcher` — the compiled probe from a fact
-  playing one atom of the query to the facts playing the other: the index
-  key is read off the fact's values, and repeated variables become
+  id playing one atom of the query to the ids playing the other: the index
+  key is read off the fact's row, and repeated variables become
   position-pair equality checks;
 * :class:`~repro.eval.evaluator.IndexedEvaluator` — a per-query facade over
   the database-resident caches (solution graph, initial ``Δ_k``), reusable

@@ -35,17 +35,22 @@ Replay happens lazily at read time, which batches arbitrarily interleaved
 mutations.  Maintainers therefore probe the database's *current* index (the
 final state of the batch): a surviving pair has both endpoints in the final
 index, so it is discovered when its last-added endpoint's delta is replayed,
-while pairs involving facts that were later removed are erased again by the
-replay of the corresponding remove delta.  The randomised interleaving suite
+while a fact removed later in the batch is no longer in the index (its add
+replays to an isolated vertex) and the replay of its remove delta erases
+it.  A fact removed and re-added within a batch has a new id, so its two
+deltas name two different vertices.  The randomised interleaving suite
 in ``tests/test_deltas.py`` pins this argument to from-scratch rebuilds.
 
-Maintain vs rebuild, per derived structure (the PR 6 audit):
+Maintain vs rebuild, per derived structure.  Every
+maintained structure keys on the database's fact ids: a delta carries the
+fact's id (``FactDelta.fid``), which is never reused, so a replay names the
+same fact whatever the batch did after it.
 
 ============================  =========  ====================================
 structure (cache key head)    add        remove
 ============================  =========  ====================================
-``solution_graph``            maintained maintained (guard: a replay naming a
-                                         fact absent from the cached graph
+``solution_graph``            maintained maintained (guard: a replay naming an
+                                         id absent from the cached graph
                                          aborts to a rebuild)
 ``q_block_components``        maintained maintained — both directions
                                          re-derive only the touched
@@ -53,8 +58,9 @@ structure (cache key head)    add        remove
                                          :class:`repro.core.solutions.BlockComponentMaintainer`
 ``bipartite_matching``        maintained maintained — both directions; see
                                          :class:`repro.core.matching.BipartiteGraphMaintainer`
-``repair_oracle``             maintained maintained
 ============================  =========  ====================================
+
+``RepairOracle`` keeps no structure of its own: it reads the solution graph.
 
 The per-key counters on :meth:`Database.derived_cache_stats` make this table
 observable at runtime: ``unsupported_deltas``/``rebuilds`` stay zero exactly
@@ -63,7 +69,7 @@ on the rows marked maintained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..core.terms import Fact
@@ -81,10 +87,16 @@ REMOVE = "remove"
 
 @dataclass(frozen=True)
 class FactDelta:
-    """One successful mutation of a database: ``op`` is :data:`ADD` or :data:`REMOVE`."""
+    """One successful mutation of a database: ``op`` is :data:`ADD` or :data:`REMOVE`.
+
+    ``fid`` is the fact's id in the database that emitted the delta (see
+    :class:`~repro.db.fact_store.Database`); maintainers key on it.  It
+    names the fact inside one database only, so equality ignores it.
+    """
 
     op: str
     fact: Fact
+    fid: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in (ADD, REMOVE):
@@ -108,7 +120,7 @@ class SolutionGraphMaintainer:
     atom ``A`` and ``b_to_a`` for the fact playing atom ``B``.  Applying a
     delta therefore costs two bucket lookups plus the degree of the changed
     fact, instead of the full ``O(n)`` probe sweep of a rebuild (which runs
-    ``a_to_b`` over every fact).
+    ``a_to_b`` over every fact).  Everything runs on fact ids.
     """
 
     def __init__(self, query: "TwoAtomQuery") -> None:
@@ -119,19 +131,18 @@ class SolutionGraphMaintainer:
     # ------------------------------------------------------------------ #
     # pair discovery
     # ------------------------------------------------------------------ #
-    def pairs_of(self, database: "Database", fact: Fact) -> List[Tuple[Fact, Fact]]:
-        """Every ordered solution involving ``fact`` against the current index.
+    def pairs_of(self, database: "Database", fid: int) -> List[Tuple[int, int]]:
+        """Every ordered solution involving the live id ``fid``, as id pairs.
 
-        The ``(fact, fact)`` self-solution is reported through the first
-        probe when the fact is present in the index; partners are always
-        drawn from the database's *current* facts (see the module notes on
-        batched replay).
+        The ``(fid, fid)`` self-solution is reported through the first
+        probe; partners are always drawn from the database's *current*
+        facts (see the module notes on batched replay).
         """
         index = database.index
-        pairs = [(fact, second) for second in self.a_to_b.partners(index, fact)]
-        for first in self.b_to_a.partners(index, fact):
-            if first != fact:  # (fact, fact) already found by the first probe
-                pairs.append((first, fact))
+        pairs = [(fid, second) for second in self.a_to_b.partners(index, fid)]
+        for first in self.b_to_a.partners(index, fid):
+            if first != fid:  # (fid, fid) already found by the first probe
+                pairs.append((first, fid))
         return pairs
 
     # ------------------------------------------------------------------ #
@@ -141,38 +152,35 @@ class SolutionGraphMaintainer:
         self, database: "Database", graph: "SolutionGraph", delta: FactDelta
     ) -> "SolutionGraph":
         if delta.is_add:
-            self._apply_add(database, graph, delta.fact)
+            self._apply_add(database, graph, delta.fid)
         else:
-            self._apply_remove(graph, delta.fact)
+            self._apply_remove(graph, delta.fid)
         return graph
 
-    def _apply_add(self, database: "Database", graph: "SolutionGraph", fact: Fact) -> None:
-        graph.facts[fact] = None
-        graph.edges.setdefault(fact, set())
-        for first, second in self.pairs_of(database, fact):
-            graph.directed.add((first, second))
+    def _apply_add(self, database: "Database", graph: "SolutionGraph", fid: int) -> None:
+        edges = graph.edges
+        edges.setdefault(fid, set())
+        if not database.index.is_live(fid):
+            return  # removed later in the same batch: its remove delta follows
+        for first, second in self.pairs_of(database, fid):
             if first == second:
                 graph.self_loops.add(first)
             else:
                 # A partner added later in the same batch may not have its
                 # own adjacency entry yet; setdefault keeps the splice safe.
-                graph.edges.setdefault(first, set()).add(second)
-                graph.edges.setdefault(second, set()).add(first)
+                edges.setdefault(first, set()).add(second)
+                edges.setdefault(second, set()).add(first)
 
-    def _apply_remove(self, graph: "SolutionGraph", fact: Fact) -> None:
+    def _apply_remove(self, graph: "SolutionGraph", fid: int) -> None:
         # Validate before touching anything: a failed replay must leave the
         # shared graph unmodified so the cache's rebuild fallback is safe.
-        if fact not in graph.edges:
-            raise DeltaUnsupported(f"fact {fact} not in the cached graph")
-        for other in graph.edges.pop(fact):
+        if fid not in graph.edges:
+            raise DeltaUnsupported(f"fact id {fid} not in the cached graph")
+        for other in graph.edges.pop(fid):
             adjacent = graph.edges.get(other)
             if adjacent is not None:
-                adjacent.discard(fact)
-            graph.directed.discard((fact, other))
-            graph.directed.discard((other, fact))
-        graph.directed.discard((fact, fact))
-        graph.self_loops.discard(fact)
-        graph.facts.pop(fact, None)
+                adjacent.discard(fid)
+        graph.self_loops.discard(fid)
 
 
 # --------------------------------------------------------------------------- #

@@ -47,16 +47,20 @@ class IndexedEvaluator:
     # derived structures
     # ------------------------------------------------------------------ #
     def solution_graph(self, database: Database) -> SolutionGraph:
-        """The (cached) solution graph ``G(D, q)``."""
+        """The (cached) solution graph ``G(D, q)``, on fact ids."""
         return build_solution_graph(self.query, database)
 
     def solution_pairs(self, database: Database) -> Set[Tuple[Fact, Fact]]:
         """The directed solutions ``q(D)`` as a set of ordered pairs."""
-        return set(self.solution_graph(database).directed)
+        fact = database.fact
+        return {
+            (fact(first), fact(second))
+            for first, second in self.solution_graph(database).directed_ids()
+        }
 
     def self_solutions(self, database: Database) -> Set[Fact]:
         """Facts ``a`` with ``q(a a)``."""
-        return set(self.solution_graph(database).self_loops)
+        return set(map(database.fact, self.solution_graph(database).self_loops))
 
     def initial_delta(self, database: Database, k: int = 2) -> Set[KSet]:
         """The seeding antichain of ``Cert_k`` (Section 5), index-built."""

@@ -14,7 +14,12 @@ atoms once per query instead:
   share no variable), so the lookup is complete;
 * the *checks*: each atom's repeated variables become position-pair
   equalities, tested on the source fact before probing and on every bucket
-  member after, next to a schema check on both sides.
+  member after.  A table holds one signature per relation name, so the
+  schema check is one comparison per call.
+
+Probes run on the dense fact ids of a
+:class:`~repro.eval.fact_index.FactIndex` and read value rows straight from
+its table: no ``Fact`` is built or hashed.
 
 No assignment dict is built per fact.  Buckets are iterated in place, without
 a copy, so callers must not mutate the index while they consume
@@ -26,7 +31,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.terms import Atom, Element, Fact
+from ..core.terms import Atom, Element
 from .fact_index import FactIndex, probe_reader
 
 #: Tests a fact's values against an atom's repeated variables.
@@ -56,7 +61,7 @@ def _compile_atom(atom: Atom) -> Tuple[Dict[str, int], Optional[ValuesTest]]:
 class AtomMatcher:
     """The compiled probe from a fact playing ``source`` to facts playing ``target``.
 
-    ``partners(index, a)`` lists every ``b`` in ``index`` such that one
+    ``partners(index, a)`` lists every id ``b`` in ``index`` such that one
     assignment maps ``source`` to ``a`` and ``target`` to ``b``; with
     ``source = A`` and ``target = B`` that is the paper's ``q(a b)``, and
     with the atoms swapped it is ``q(b a)``.
@@ -87,40 +92,48 @@ class AtomMatcher:
     # ------------------------------------------------------------------ #
     # probing
     # ------------------------------------------------------------------ #
-    def partners(self, index: FactIndex, fact: Fact) -> List[Fact]:
-        """The facts of ``index`` playing ``target`` with ``fact`` as ``source``."""
-        return [partner for _, partner in self.pairs(index, (fact,))]
+    def partners(self, index: FactIndex, fid: int) -> List[int]:
+        """The ids of ``index`` playing ``target`` with fact ``fid`` as ``source``."""
+        return [partner for _, partner in self.pairs(index, (fid,))]
 
-    def pairs(self, index: FactIndex, facts: Iterable[Fact]) -> Iterator[Tuple[Fact, Fact]]:
-        """``(a, b)`` for every ``a`` in ``facts`` and each partner ``b`` of ``a``.
+    def pairs(self, index: FactIndex, ids: Iterable[int]) -> Iterator[Tuple[int, int]]:
+        """``(a, b)`` for every id ``a`` in ``ids`` and each partner ``b`` of ``a``.
 
-        Facts not matching ``source`` yield nothing.  Partners come in index
-        (insertion) order, straight from the live bucket.
+        ``ids`` must be live ids of ``index``.  Facts not matching ``source``
+        yield nothing.  Partners come in index (insertion) order, straight
+        from the live bucket.  A table holds one signature per relation
+        name, so the schema checks run once per call, not per fact.
         """
         source_schema = self.source.schema
         target_schema = self.target.schema
+        schemas = index.schemas
+        for schema in (source_schema, target_schema):
+            known = schemas.get(schema.name)
+            if known is not schema and known != schema:
+                return
+        schema_of = index.schema_of
+        rows = index.rows
         source_test = self._source_test
         target_test = self._target_test
         key = self._key
+        source_name = source_schema.name
+        mixed = len(schemas) > 1  # else every id is of the source relation
         buckets = None
-        for fact in facts:
-            schema = fact.schema
-            if schema is not source_schema and schema != source_schema:
+        for fid in ids:
+            if mixed and schema_of[fid].name != source_name:
                 continue
-            values = fact.values
+            values = rows[fid]
             if source_test is not None and not source_test(values):
                 continue
             if buckets is None:
-                # Registered only once a fact matches: a same-named relation
-                # of another arity must never be indexed on these positions.
                 buckets = index.buckets(target_schema.name, self.pattern)
             bucket = buckets.get(key(values))
             if not bucket:
                 continue
-            for partner in bucket:
-                schema = partner.schema
-                if schema is not target_schema and schema != target_schema:
-                    continue
-                if target_test is not None and not target_test(partner.values):
-                    continue
-                yield fact, partner
+            if target_test is None:
+                for partner in bucket:
+                    yield fid, partner
+            else:
+                for partner in bucket:
+                    if target_test(rows[partner]):
+                        yield fid, partner

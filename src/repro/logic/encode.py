@@ -18,9 +18,11 @@ encoding costs ``O(edges + Σ|block|²)`` and shares its pair discovery with
 ``Cert_k`` and the matching algorithm.  The CNF itself is rebuilt per call
 and deliberately not cached: a cache entry without a delta maintainer would
 be dropped on every write, and the answer cache already absorbs repeated
-reads.  Variables number the facts in database order; the clause order
-follows the graph's set iteration order, which the solver's model does not
-depend on.
+reads.  The encoding runs on the database's fact ids and block indices
+and builds no ``Fact`` (only a found repair is turned into facts).
+Variables number the facts in database order; the clause order follows
+the graph's set iteration order, which the solver's model does not depend
+on.
 
 The encoding is decided with the DPLL solver of :mod:`repro.logic.dpll`,
 whose variable-connected components are exactly the ``q``-connected block
@@ -35,7 +37,6 @@ from typing import Dict, FrozenSet, List, Optional
 
 from ..core.query import TwoAtomQuery
 from ..core.solutions import build_solution_graph
-from ..core.terms import Fact
 from ..db.fact_store import Database, Repair
 from .dpll import DpllSolver
 
@@ -48,10 +49,9 @@ class FalsifyingRepairEncoding:
     def __init__(self, query: TwoAtomQuery, database: Database) -> None:
         self.query = query
         self.database = database
-        self._facts = database.facts()
-        self._index: Dict[Fact, int] = {
-            fact: position + 1 for position, fact in enumerate(self._facts)
-        }
+        self._ids = database.ids()
+        # Variable i is the i-th fact in database order, counting from 1.
+        self._variable: Dict[int, int] = {fid: position for position, fid in enumerate(self._ids, 1)}
         self.clauses: List[IntClause] = []
         self._build()
 
@@ -63,31 +63,35 @@ class FalsifyingRepairEncoding:
         self._encode_solutions()
 
     def _encode_blocks(self) -> None:
+        variable_of = self._variable
+        clauses = self.clauses
         for block in self.database.blocks():
-            variables = [self._index[fact] for fact in block.facts]
+            variables = [variable_of[fid] for fid in block.ids]
             # At least one fact of the block is kept.
-            self.clauses.append(frozenset(variables))
+            clauses.append(frozenset(variables))
             # At most one fact of the block is kept.
             for first, second in combinations(variables, 2):
-                self.clauses.append(frozenset((-first, -second)))
+                clauses.append(frozenset((-first, -second)))
 
     def _encode_solutions(self) -> None:
         graph = build_solution_graph(self.query, self.database)
-        index, clauses = self._index, self.clauses
-        clauses.extend(frozenset((-index[fact],)) for fact in graph.self_loops)
-        for fact, adjacent in graph.edges.items():
-            variable = index[fact]
+        variable_of, clauses = self._variable, self.clauses
+        block_of = self.database.fact_blocks
+        clauses.extend(frozenset((-variable_of[fid],)) for fid in graph.self_loops)
+        for fid, adjacent in graph.edges.items():
+            variable = variable_of[fid]
+            block = block_of[fid]
             for other in adjacent:
-                partner = index[other]
+                partner = variable_of[other]
                 # Key-equal pairs are never co-selected; the block handles them.
-                if partner > variable and not fact.key_equal(other):
+                if partner > variable and block_of[other] != block:
                     clauses.append(frozenset((-variable, -partner)))
 
     # ------------------------------------------------------------------ #
     # solving
     # ------------------------------------------------------------------ #
     def variable_count(self) -> int:
-        return len(self._facts)
+        return len(self._ids)
 
     def clause_count(self) -> int:
         return len(self.clauses)
@@ -100,8 +104,10 @@ class FalsifyingRepairEncoding:
             return None
         # The model is total, so at-least-one plus at-most-one pick exactly
         # one fact per block: the repair is read straight off it.
+        variable_of = self._variable
+        fact = self.database.fact
         repair = Repair(tuple(
-            next(fact for fact in block.facts if model[self._index[fact]])
+            fact(next(fid for fid in block.ids if model[variable_of[fid]]))
             for block in self.database.blocks()
         ))
         if self.query.satisfied_by(repair):

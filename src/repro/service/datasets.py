@@ -56,7 +56,7 @@ from ..backends.streaming import (
 )
 from ..core.query import TwoAtomQuery
 from ..core.terms import RelationSchema
-from ..db.csvio import csv_row_count, facts_from_rows, load_csv_text
+from ..db.csvio import csv_row_count, load_csv_text
 from ..db.fact_store import Database
 from ..db.sqlite_backend import SqliteFactStore
 from ..hashing import blake2b
@@ -584,7 +584,9 @@ class DatasetRef:
 
     def _load(self, query: TwoAtomQuery, pushdown: bool) -> Database:
         if self.kind == self.ROWS:
-            return Database(facts_from_rows(query.schema, self._rows))
+            database = Database()
+            database.add_rows(query.schema, self._rows)
+            return database
         if self.kind == self.BACKEND:
             backend = self._ensure_backend(query.schema)
             if pushdown:

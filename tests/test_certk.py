@@ -259,7 +259,7 @@ class TestCertKMemo:
     def test_a_write_reruns_only_its_component(self):
         cold = self.runner.run(self.db)
         graph = build_solution_graph(self.query, self.db)
-        inside = next(fact for fact in self.db.facts() if graph.edges[fact])
+        inside = next(fact for fact in self.db.facts() if graph.edges[self.db.id_of(fact)])
         width = self.query.schema.arity - self.query.schema.key_size
         values = inside.block_id()[1] + tuple(range(3 * FRESH, 3 * FRESH + width))
         self.db.add(Fact(self.query.schema, values))  # a fresh fact in a linked block
@@ -281,3 +281,18 @@ class TestCertKMemo:
         after = self.runner.run(self.db)
         assert not after.certain
         assert after.delta == self.fresh().delta
+
+
+class TestCertKResultAfterWrites:
+    def test_delta_read_after_a_removal_describes_the_run(self):
+        # The result names facts by database ids; an id keeps naming its
+        # fact after the fact leaves, so a result read late is still the
+        # antichain of the database it ran on.
+        query = paper_queries()["q3"]
+        a, b, c = (Fact(query.schema, values) for values in ((1, 2), (1, 5), (2, 3)))
+        database = Database([a, b, c])
+        result = CertK(query, 2).run(database)
+        database.remove(a)
+        database.add(Fact(query.schema, (7, 8)))
+        assert not result.certain
+        assert result.delta == {frozenset((a,))}

@@ -172,3 +172,82 @@ class TestRepair:
     def test_repair_as_set(self, schema):
         repair = Repair((Fact(schema, (1, "a")),))
         assert repair.as_set() == frozenset({Fact(schema, (1, "a"))})
+
+
+class TestOneSignaturePerRelation:
+    """A relation symbol has exactly one signature (Section 2)."""
+
+    def test_a_second_signature_is_rejected_by_add(self):
+        # Before the check, R[3,1]'s fact joined R[2,1]'s block (1,): one
+        # 2-fact block, and both the engine and brute force answered False.
+        small, wide = RelationSchema("R", 2, 1), RelationSchema("R", 3, 1)
+        with pytest.raises(ValueError, match=r"R\[2,1\].*R\[3,1\]"):
+            Database([Fact(small, (1, 1)), Fact(wide, (1, 5, 6))])
+        database = Database([Fact(small, (1, 1))])
+        with pytest.raises(ValueError, match=r"R\[2,1\].*R\[3,1\]"):
+            database.add(Fact(wide, (1, 5, 6)))
+        assert database.facts() == [Fact(small, (1, 1))]
+        assert Fact(wide, (1, 5, 6)) not in database
+        assert not database.remove(Fact(wide, (1, 5, 6)))
+        assert database.version == 1
+
+    def test_the_fact_of_the_first_signature_alone_is_certain(self):
+        from repro import CertainEngine, certain_bruteforce, paper_queries
+
+        q3 = paper_queries()["q3"]  # R(x|y) R(y|z) over R[2,1]
+        database = Database([Fact(q3.schema, (1, 1))])
+        assert database.block_count() == 1 and database.max_block_size() == 1
+        assert CertainEngine(q3).is_certain(database)
+        assert certain_bruteforce(q3, database)
+
+    def test_a_second_signature_is_rejected_by_the_rows_ingest(self):
+        small, wide = RelationSchema("R", 2, 1), RelationSchema("R", 3, 1)
+        database = Database()
+        assert database.add_rows(small, [(1, 1)]) == 1
+        with pytest.raises(ValueError, match=r"R\[2,1\].*R\[3,1\]"):
+            database.add_rows(wide, [(1, 5, 6)])
+        assert database.describe_dict()["facts"] == 1
+
+    def test_other_relation_names_may_mix(self):
+        r, s = RelationSchema("R", 2, 1), RelationSchema("S", 3, 1)
+        database = Database([Fact(r, (1, 1)), Fact(s, (1, 5, 6)), Fact(r, (2, 1))])
+        assert database.schemas() == [r, s]
+        assert database.block_count() == 3
+
+
+class TestRowsIngest:
+    """``Database.add_rows``: the bulk path, without building ``Fact`` objects."""
+
+    def test_rows_ingest_equals_fact_by_fact(self, schema):
+        rows = [(1, "a"), (1, "b"), (2, "a"), (1, "a"), (3, "c")]
+        bulk = Database()
+        assert bulk.add_rows(schema, rows) == 4
+        single = Database(Fact(schema, row) for row in rows)
+        assert bulk.facts() == single.facts()
+        assert bulk.version == single.version == 4
+        assert [block.block_id for block in bulk.blocks()] == [
+            block.block_id for block in single.blocks()
+        ]
+
+    def test_malformed_rows_insert_nothing(self, schema):
+        database = Database()
+        with pytest.raises(ValueError, match="needs 2 values, got 3"):
+            database.add_rows(schema, [(1, "a"), (2, "b", "c")])
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            database.add_rows(schema, [(1, "a"), (2, ["b"])])
+        assert len(database) == 0 and database.version == 0
+        assert database.add_rows(schema, [(1, "a")]) == 1
+
+    def test_ids_and_facts(self, schema):
+        first = Fact(schema, (1, "a"))
+        database = Database([first])
+        assert database.add_rows(schema, [(2, "b")]) == 1
+        fid = database.id_of(first)
+        assert database.fact(fid) is first  # the Fact passed to add is kept
+        other = database.id_of(Fact(schema, (2, "b")))
+        assert database.fact(other) is database.fact(other)  # built once
+        database.remove(first)
+        assert database.id_of(first) is None
+        database.add(first)
+        assert database.id_of(first) > other  # ids are never reused
+        assert database.fact(fid) == first  # and the old id still names it

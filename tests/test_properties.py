@@ -4,7 +4,7 @@ import itertools
 import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro import (
     Atom,
@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.core.branching import branching_triples, g_elements
 from repro.core.classification import Method
-from repro.core.solutions import block_partition, solution_graph_from_pairs
+from repro.core.solutions import SolutionGraph, block_partition, solution_graph_from_pairs
 from repro.db.fact_store import is_repair_of
 from repro.db.repairs import iter_repairs
 from repro.graphs.components import UnionFind
@@ -263,7 +263,7 @@ class TestSolutionGraphInvariants:
     @given(q2_rows)
     def test_edges_are_symmetric_and_match_semantics(self, rows):
         db = q2_database(rows)
-        graph = build_solution_graph(Q2, db)
+        graph = build_solution_graph(Q2, db).view()
         for fact in db:
             for other in graph.neighbours(fact):
                 assert fact in graph.neighbours(other)
@@ -273,7 +273,7 @@ class TestSolutionGraphInvariants:
     @given(q6_rows)
     def test_components_partition_facts(self, rows):
         db = q6_database(rows)
-        graph = build_solution_graph(Q6, db)
+        graph = build_solution_graph(Q6, db).view()
         facts_in_components = [fact for component in graph.components() for fact in component]
         assert sorted(map(str, facts_in_components)) == sorted(map(str, db.facts()))
 
@@ -290,11 +290,19 @@ class TestSolutionGraphInvariants:
                 for first, second in itertools.combinations(members, 2)
             )
 
+        # The same graph on the fact ids of a database, as the matching reads it.
+        db = Database(graph.facts)
+        id_of = db.id_of
+        id_graph = SolutionGraph.from_pairs(
+            Q3, db, ((id_of(first), id_of(second)) for first, second in graph.directed)
+        )
         components = graph.components()
         for members in components + [dense, subset]:
             assert graph.is_quasi_clique(members) == pairwise(members)
             assert graph.is_quasi_clique(set(members)) == pairwise(members)
+            assert id_graph.is_quasi_clique(list(map(id_of, members))) == pairwise(members)
         assert graph.is_clique_database() == all(map(pairwise, components))
+        assert id_graph.is_clique_database() == graph.is_clique_database()
 
     @_SETTINGS
     @given(q2_rows)
@@ -431,7 +439,7 @@ class TestCertKMatchesNaive:
         runners = [(CertK(query, k), NaiveCertK(query, k)) for k in (1, 2)]
 
         def check():
-            cached = build_solution_graph(query, db)
+            cached = build_solution_graph(query, db).view()
             naive = build_solution_graph_naive(query, db)
             assert cached.directed == naive.directed
             assert cached.self_loops == naive.self_loops
@@ -515,11 +523,14 @@ class PartitionUnderWrites(RuleBasedStateMachine):
     def read(self):
         query, db = self.query, self.db
         partition = block_partition(query, db)
-        assert {frozenset(c.blocks) for c in partition.components} == naive_partition(query, db)
-        assert set(partition.component_of) == {block.block_id for block in db.blocks()}
+        table = db.block_table  # the partition names blocks by index
+        assert {
+            frozenset(table[key].block_id for key in c.blocks) for c in partition.components
+        } == naive_partition(query, db)
+        assert set(partition.component_of) == {block.index for block in db.blocks()}
         for component in partition.components:
             assert all(partition.component_of[key] is component for key in component.blocks)
-            assert component.size == sum(len(db.block_by_id(key)) for key in component.blocks)
+            assert component.size == sum(len(table[key]) for key in component.blocks)
         for runner, oracle in self.runners:
             memoised, naive = runner.run(db), oracle.run(db)
             assert memoised.certain == naive.certain
@@ -534,6 +545,140 @@ class PartitionUnderWrites(RuleBasedStateMachine):
 TestPartitionUnderWrites = PartitionUnderWrites.TestCase
 TestPartitionUnderWrites.settings = settings(
     _SETTINGS, max_examples=60, stateful_step_count=20
+)
+
+
+def substrate(db):
+    """Everything the id substrate shows through the public Database API."""
+    return {
+        "facts": db.facts(),
+        "ids": [db.id_of(fact) for fact in db.facts()],
+        "blocks": [(block.block_id, block.facts) for block in db.blocks()],
+        "block_of": [db.block_of(fact).block_id for fact in db.facts()],
+        "len": len(db),
+        "version": db.version,
+        "describe": db.describe_dict(),
+    }
+
+
+class IdSubstrateUnderWrites(RuleBasedStateMachine):
+    """The dense fact ids of one q1..q7 database under add, remove, re-add and
+    duplicate add, held to a plain ordered dict of facts after every step.
+
+    The database starts either from a rows ingest or fact by fact (the two
+    are compared first), over int and str values with duplicate rows.  Every
+    surviving fact keeps its id, ids follow insertion order, and
+    ``fact(id_of(f)) == f``.
+    """
+
+    @initialize(name=st.sampled_from(sorted(paper_queries())), data=st.data(), bulk=st.booleans())
+    def start(self, name, data, bulk):
+        self.schema = paper_queries()[name].schema
+        values = st.one_of(st.integers(0, 2), st.sampled_from(("0", "1", "a")))
+        self.rows = st.tuples(*[values] * self.schema.arity)
+        rows = data.draw(st.lists(self.rows, max_size=12))
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+        single = Database(Fact(self.schema, row) for row in rows)
+        ingested = Database()
+        assert ingested.add_rows(self.schema, rows) == len(single)
+        assert substrate(ingested) == substrate(single)
+        self.db = ingested if bulk else single
+        self.model = {}
+        self.blocks = {}
+        self.version = 0
+        self.ids = {}
+        for row in rows:
+            self.model_add(Fact(self.schema, row))
+
+    def model_add(self, fact):
+        if fact in self.model:
+            return False
+        self.model[fact] = None
+        self.blocks.setdefault(fact.block_id(), []).append(fact)
+        self.version += 1
+        fid = self.db.id_of(fact)
+        assert fid is not None and all(fid > other for other in self.ids.values())
+        self.ids[fact] = fid
+        return True
+
+    def model_remove(self, fact):
+        del self.model[fact], self.ids[fact]
+        members = self.blocks[fact.block_id()]
+        members.remove(fact)
+        if not members:
+            del self.blocks[fact.block_id()]
+        self.version += 1
+
+    @rule(data=st.data())
+    def add(self, data):
+        fact = Fact(self.schema, data.draw(self.rows))
+        expected = fact not in self.model
+        assert self.db.add(fact) == expected
+        self.model_add(fact)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def remove(self, data):
+        victim = data.draw(st.sampled_from(list(self.model)))
+        assert self.db.remove(victim)
+        self.model_remove(victim)
+
+    @rule(data=st.data())
+    def remove_absent(self, data):
+        fact = Fact(self.schema, data.draw(self.rows))
+        if fact not in self.model:
+            assert not self.db.remove(fact)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def re_add(self, data):
+        fact = data.draw(st.sampled_from(list(self.model)))
+        old = self.ids[fact]
+        assert self.db.remove(fact)
+        self.model_remove(fact)
+        assert self.db.add(Fact(self.schema, fact.values))
+        self.model_add(fact)
+        assert self.ids[fact] > old
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def duplicate_add(self, data):
+        fact = data.draw(st.sampled_from(list(self.model)))
+        assert not self.db.add(Fact(self.schema, fact.values))
+        assert not self.db.add(fact)
+
+    @invariant()
+    def matches_the_model(self):
+        db, facts = self.db, list(self.model)
+        assert db.facts() == facts
+        assert len(db) == len(facts)
+        assert db.version == self.version
+        assert [(block.block_id, list(block.facts)) for block in db.blocks()] == list(
+            self.blocks.items()
+        )
+        for fact in facts:
+            assert fact in db
+            assert db.block_of(fact).block_id == fact.block_id()
+            assert db.id_of(fact) == self.ids[fact]
+            assert db.fact(db.id_of(fact)) == fact
+        ids = [self.ids[fact] for fact in facts]
+        assert ids == sorted(ids)
+        sizes = [len(members) for members in self.blocks.values()]
+        repairs = 1
+        for size in sizes:
+            repairs *= size
+        assert db.describe_dict() == {
+            "facts": len(facts),
+            "blocks": len(sizes),
+            "max_block": max(sizes, default=0),
+            "repairs": repairs,
+            "version": self.version,
+        }
+
+
+TestIdSubstrateUnderWrites = IdSubstrateUnderWrites.TestCase
+TestIdSubstrateUnderWrites.settings = settings(
+    _SETTINGS, max_examples=60, stateful_step_count=25
 )
 
 

@@ -21,10 +21,12 @@ def fact(schema, *values):
 
 
 class TestSolutionGraph:
+    """The cached graph runs on fact ids; tests naming facts read its Fact view."""
+
     def test_edges_are_symmetric(self, q3):
         schema = q3.schema
         db = Database([fact(schema, 1, 2), fact(schema, 2, 3)])
-        graph = build_solution_graph(q3, db)
+        graph = build_solution_graph(q3, db).view()
         assert graph.has_edge(fact(schema, 1, 2), fact(schema, 2, 3))
         assert graph.has_edge(fact(schema, 2, 3), fact(schema, 1, 2))
         assert graph.edge_count() == 1
@@ -32,14 +34,14 @@ class TestSolutionGraph:
     def test_directed_solutions_recorded(self, q3):
         schema = q3.schema
         db = Database([fact(schema, 1, 2), fact(schema, 2, 3)])
-        graph = build_solution_graph(q3, db)
+        graph = build_solution_graph(q3, db).view()
         assert graph.has_directed(fact(schema, 1, 2), fact(schema, 2, 3))
         assert not graph.has_directed(fact(schema, 2, 3), fact(schema, 1, 2))
 
     def test_self_loops(self, q3):
         schema = q3.schema
         db = Database([fact(schema, 1, 1), fact(schema, 2, 3)])
-        graph = build_solution_graph(q3, db)
+        graph = build_solution_graph(q3, db).view()
         assert fact(schema, 1, 1) in graph.self_loops
         assert fact(schema, 2, 3) not in graph.self_loops
 
@@ -54,7 +56,7 @@ class TestSolutionGraph:
     def test_neighbours(self, q3):
         schema = q3.schema
         db = Database([fact(schema, 1, 2), fact(schema, 2, 3), fact(schema, 2, 4)])
-        graph = build_solution_graph(q3, db)
+        graph = build_solution_graph(q3, db).view()
         assert graph.neighbours(fact(schema, 1, 2)) == {fact(schema, 2, 3), fact(schema, 2, 4)}
 
 
@@ -80,17 +82,17 @@ class TestQuasiCliques:
         schema = q3.schema
         a = fact(schema, 1, 2)
         db = Database([a, fact(schema, 2, 3), fact(schema, 3, 4)])
-        graph = build_solution_graph(q3, db)
+        graph = build_solution_graph(q3, db).view()
         assert graph.clique_of(a) == frozenset({a})
 
     def test_clique_of_quasi_clique_component_is_component(self, q6):
         facts = solution_triangle(q6, ("a", "b", "c"))
-        graph = build_solution_graph(q6, Database(facts))
+        graph = build_solution_graph(q6, Database(facts)).view()
         assert graph.clique_of(facts[0]) == frozenset(facts)
 
     def test_clique_of_unknown_fact(self, q6):
         facts = solution_triangle(q6, ("a", "b", "c"))
-        graph = build_solution_graph(q6, Database(facts))
+        graph = build_solution_graph(q6, Database(facts)).view()
         with pytest.raises(KeyError):
             graph.clique_of(fact(q6.schema, "zz", "zz", "zz"))
 
