@@ -11,6 +11,7 @@ the exact oracle.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -182,6 +183,42 @@ def timed(function: Callable[[], object]) -> Tuple[object, float]:
     start = time.perf_counter()
     result = function()
     return result, time.perf_counter() - start
+
+
+def _reference_work() -> int:
+    """Connected components of a fixed pseudo-random 500-vertex graph.
+
+    Pure-Python work of the engine's kind (tuples, dicts, sets) that shares
+    no code with the program, so a change to the program cannot move it.
+    """
+    state, adjacency = 12345, {}
+    for _ in range(3000):
+        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+        left, right = state % 500, (state >> 9) % 500
+        adjacency.setdefault(left, set()).add(right)
+        adjacency.setdefault(right, set()).add(left)
+    seen, components = set(), 0
+    for start in adjacency:
+        if start not in seen:
+            components += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                for neighbour in adjacency[stack.pop()] - seen:
+                    seen.add(neighbour)
+                    stack.append(neighbour)
+    return components
+
+
+def reference_seconds(samples: int = 7) -> float:
+    """Median time of :func:`_reference_work` over ``samples`` runs.
+
+    The machine's speed drifts (other tenants share its cores), so a gate
+    on an absolute time is divided by this reference, timed next to it: the
+    quotient is the time in units of a fixed computation, and moves only
+    when the gated code does.
+    """
+    return statistics.median(timed(_reference_work)[1] for _ in range(samples))
 
 
 # --------------------------------------------------------------------------- #
