@@ -3,39 +3,46 @@
 Measures what the PR 5 :class:`~repro.server.pool.SessionPool` buys and
 keeps the planner's cost-model calibration honest:
 
-* **V.a — concurrent vs locked throughput.**  The same mixed read workload
-  (independent SQLite-resident and in-memory datasets across the dichotomy's
-  query classes) is hammered by a thread pool against (1) a ``CQAServer``
-  with the pre-pool behaviour (``concurrent=False``: every request
-  exclusive) and (2) the striped pool.  Envelopes must be identical to a
-  sequential ground-truth run; the throughput ratio is the headline number.
-  The >1x assertion is **core-gated** like PR 2's parallel assertion: on a
-  single-core host the cost model itself predicts no speedup (that
-  prediction is asserted instead), and CPython threads only overlap where
-  the work releases the GIL (SQLite resolution, file I/O), so the win
-  scales with both cores and the backend mix.
+* **V.a — what the stripes buy: isolation, not throughput.**  The same
+  mixed read workload (independent SQLite-resident and in-memory datasets
+  across the dichotomy's query classes) is hammered by a thread pool
+  against (1) a ``CQAServer`` with the pre-pool behaviour
+  (``concurrent=False``: every request exclusive) and (2) the striped
+  pool.  Envelopes must be identical to a sequential ground-truth run.
+  CPython threads overlap only where the work releases the GIL, and the
+  engine's work is pure Python, so the striped pool does not serve more
+  requests per second than one lock (0.84–1.00x on 2 vCPUs): the ratio
+  is reported, and only bounded below (>0.5x, no convoy) on every core
+  count.  What the stripes do buy is isolation: while one fresh
+  2955-fact q3 read runs (~0.2 s on 2 vCPUs), reads of other datasets on
+  other stripes keep completing.  All 30 must complete before the long read
+  does under the striped pool, and none under the single lock, which
+  is the control.
 * **V.b — cost-model calibration.**  Regenerates
   ``benchmarks/COST_MODEL.json`` from the in-code defaults on default-sized
   runs and fails if the committed file drifted — the committed constants
   are exactly what `Planner` routes with.
 
 Environment knobs (for CI smoke runs): ``BENCH_CONCURRENCY_REQUESTS``
-(workload size), ``BENCH_CONCURRENCY_THREADS`` (client threads).  A JSON
-baseline is written next to this file as ``BENCH_concurrency.json`` on
-default-sized runs; the regression gate fails on a >2x loss vs the
-committed baseline (with an absolute floor so shared-runner noise cannot
-flake).
+(workload size of the throughput run), ``BENCH_CONCURRENCY_THREADS``
+(client threads).  A JSON baseline is written next to this file as
+``BENCH_concurrency.json`` on default-sized runs; the regression gate
+fails on a >2x loss vs the committed baseline (with an absolute floor so
+shared-runner noise cannot flake).
 """
 
+import gc
 import json
 import os
 import random
+import statistics
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 from repro import DatasetRef, Request, SqliteFactStore
-from repro.bench.harness import ExperimentReport, assert_core_gated, timed
+from repro.bench.harness import ExperimentReport, timed
 from repro.bench.reporting import emit, write_json
 from repro.core.certain import default_worker_count
 from repro.db.generators import random_solution_database
@@ -55,6 +62,10 @@ _DEFAULT_SIZED_RUN = not any(
 
 #: Regression gate vs the committed baseline (matches the other suites).
 _REGRESSION_FACTOR = 2.0
+#: The striped pool may lose throughput to one lock, but never convoy.
+_NO_CONVOY = 0.5
+#: Short reads of other datasets issued while the long read runs.
+_SHORT_READS = 30
 #: Absolute cap on gate thresholds (single-core baselines sit near 1x, so
 #: the effective gate there is ~0.5x — a real convoy regression, not noise).
 _GATE_FLOOR = 4.0
@@ -156,7 +167,6 @@ def test_concurrent_vs_locked_throughput():
         "Experiment V.a — mixed reads: striped SessionPool vs single-lock server",
         ["requests", "threads", "cores", "locked (s)", "concurrent (s)",
          "peak overlap", "speedup"],
-        core_gated=True,
     )
     report.add(
         requests=_REQUESTS,
@@ -171,22 +181,120 @@ def test_concurrent_vs_locked_throughput():
     )
     emit(report)
     _JSON_REPORTS.append(report)
-    if not assert_core_gated(
-        report,
-        speedup > 1.0,
-        f"striped pool did not beat the single lock on {_CORES} cores "
-        f"({speedup:.2f}x)",
-    ):
-        # One core: the win cannot exist, and the planner must *predict*
-        # that — the same re-expression tests/test_planner_decisions.py pins.
-        hints = [60] * max(2, _REQUESTS)
-        assert CostModel().predicted_speedup(hints, None, 1) < 1.0
-        # The pool must at least not convoy the single core.
-        assert speedup > 0.5, f"striped pool collapsed on one core ({speedup:.2f}x)"
+    # Measured, not claimed: the ratio sits below 1x on 2 cores.  The pool
+    # must still not convoy, on any core count.
+    assert speedup > _NO_CONVOY, (
+        f"striped pool collapsed on {_CORES} cores ({speedup:.2f}x)"
+    )
     # Requests were independent: the pool must have overlapped readers
     # whenever more than one thread was live.
     assert pool_stats["shared_requests"] == _REQUESTS
     assert pool_stats["exclusive_requests"] == 0
+
+
+def _short_reads(server, long_request, count):
+    """``count`` cold reads of small in-memory datasets off the long read's stripes.
+
+    Datasets sharing a stripe serialise by design (the stripe guards the
+    resolved database's derived caches), so none is drawn from the long
+    read's stripes.
+    """
+    busy = set(server.pool._stripe_indices(long_request))
+    requests = []
+    seed = 0
+    while len(requests) < count:
+        seed += 1
+        database = random_solution_database(
+            QUERIES["q3"], solution_count=10, noise_count=5, domain_size=12,
+            rng=random.Random(8300 + seed),
+        )
+        request = Request(op="certain", query="q3",
+                          datasets=(DatasetRef.in_memory(database),),
+                          request_id=f"short-{seed}")
+        if busy.isdisjoint(server.pool._stripe_indices(request)):
+            requests.append(request)
+    return requests
+
+
+def _reads_during_a_long_read(concurrent):
+    """Short reads finished while one long read held the server.
+
+    Returns ``(long read seconds, short reads completed before it ended,
+    short-read latencies in seconds)``.
+    """
+    server = CQAServer(enable_cache=False, concurrent=concurrent)
+    big = random_solution_database(QUERIES["q3"], 1000, 1000, 300, random.Random(7))
+    long_request = Request(op="certain", query="q3",
+                           datasets=(DatasetRef.in_memory(big),), request_id="long")
+    shorts = _short_reads(server, long_request, _SHORT_READS)
+    session = server.pool.session
+    answer_inside_the_locks = session.answer
+    window = {}
+
+    def timed_answer(request):
+        # The long read's window, timed inside the pool's locks: a read the
+        # lock held back cannot finish before its end.
+        if request is not long_request:
+            return answer_inside_the_locks(request)
+        window["start"] = time.perf_counter()
+        try:
+            return answer_inside_the_locks(request)
+        finally:
+            window["end"] = time.perf_counter()
+
+    session.answer = timed_answer
+    thread = threading.Thread(target=server.handle_request, args=(long_request,))
+    thread.start()
+    while "start" not in window:
+        time.sleep(0.001)
+    finished, latencies = [], []
+    for request in shorts:
+        [reply], elapsed = timed(lambda: server.handle_request(request))
+        assert reply.ok
+        finished.append(time.perf_counter())
+        latencies.append(elapsed)
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    during = sum(1 for moment in finished if moment < window["end"])
+    return window["end"] - window["start"], during, latencies
+
+
+def test_stripes_isolate_reads_from_a_long_read():
+    """V.a (isolation): other datasets' reads complete during a long read."""
+    gc.collect()
+    striped_long, striped_during, striped_latencies = _reads_during_a_long_read(True)
+    gc.collect()
+    locked_long, locked_during, locked_latencies = _reads_during_a_long_read(False)
+    report = ExperimentReport(
+        "Experiment V.a — isolation: short reads of other datasets during one "
+        "fresh 2955-fact q3 read",
+        ["server", "short reads", "long read (s)", "completed during it",
+         "short read p50 (ms)", "slowest short read (ms)"],
+    )
+    for mode, long_s, during, latencies in (
+        ("striped", striped_long, striped_during, striped_latencies),
+        ("single lock", locked_long, locked_during, locked_latencies),
+    ):
+        report.add(
+            server=mode,
+            **{
+                "short reads": _SHORT_READS,
+                "long read (s)": f"{long_s:.3f}",
+                "completed during it": during,
+                "short read p50 (ms)": f"{statistics.median(latencies) * 1e3:.2f}",
+                "slowest short read (ms)": f"{max(latencies) * 1e3:.2f}",
+            },
+        )
+    emit(report)
+    _JSON_REPORTS.append(report)
+    assert striped_during == _SHORT_READS, (
+        f"striped pool: only {striped_during}/{_SHORT_READS} reads of other "
+        f"datasets completed during a {striped_long:.3f} s read"
+    )
+    # The control: one lock holds every read behind the long one.
+    assert locked_during == 0, (
+        f"single lock: {locked_during} reads completed during the long read"
+    )
 
 
 def test_cost_model_constants_current():

@@ -20,10 +20,14 @@ Measures what PR 7's ``repro.fleet`` front door buys:
   build strictly less, and the latency ratio is reported alongside.  Also
   not core-gated: avoided rebuilds are visible on one core.
 * **VII.c — sustained throughput, 1 worker vs W workers.**  The same
-  uncached workload through a single-worker fleet and a W-worker fleet of
-  real ``repro fleet-worker`` subprocesses.  Parallel speedup needs
-  parallel hardware, so the >1x assertion is **core-gated**; the req/s
-  numbers are always reported.
+  uncached workload, driven by W client threads, through a single-worker
+  fleet and a W-worker fleet of real ``repro fleet-worker`` subprocesses.
+  The dispatcher serialises each worker's exchanges, so only concurrent
+  clients can keep several workers computing at once.  Parallel speedup
+  needs parallel hardware, so the >=1x assertion is **core-gated** (4
+  cores: three worker processes plus the dispatcher); the req/s numbers
+  are always reported.  On 2 vCPUs three workers serve 0.65–0.73x of one
+  worker's req/s.
 
 Environment knobs (for CI smoke runs): ``BENCH_FLEET_DATASETS``,
 ``BENCH_FLEET_ROUNDS``, ``BENCH_FLEET_WORKERS``, ``BENCH_FLEET_SOLUTIONS``,
@@ -34,6 +38,7 @@ Environment knobs (for CI smoke runs): ``BENCH_FLEET_DATASETS``,
 import json
 import os
 import random
+import threading
 from pathlib import Path
 
 from repro import CQAServer, derived_cache_totals
@@ -250,14 +255,25 @@ def test_throughput_one_vs_many_workers():
     def drive(worker_count):
         workers = spawn_fleet(worker_count, no_cache=True)
         dispatcher = FleetDispatcher(workers, routing="random", rng=random.Random(11))
-        try:
-            def run():
-                return [
-                    dispatcher.handle_payload(payload)[0].verdict
-                    for payload in stream
-                ]
+        verdicts = [None] * len(stream)
 
-            verdicts, elapsed = timed(run)
+        def client(offset):
+            for index in range(offset, len(stream), _WORKERS):
+                verdicts[index] = dispatcher.handle_payload(stream[index])[0].verdict
+
+        def run():
+            threads = [
+                threading.Thread(target=client, args=(offset,))
+                for offset in range(_WORKERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+
+        try:
+            _, elapsed = timed(run)
         finally:
             dispatcher.close()
         return verdicts, elapsed
@@ -287,8 +303,7 @@ def test_throughput_one_vs_many_workers():
     )
     emit(report)
     _JSON_REPORTS.append(report)
-    # A dispatcher serialises each request over one socket exchange, so the
-    # win comes from workers computing concurrently — which needs cores.
+    # W clients keep up to W workers computing at once — which needs cores.
     assert_core_gated(
         report,
         speedup >= 1.0,

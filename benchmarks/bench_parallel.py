@@ -1,4 +1,4 @@
-"""Experiment IX — the sharded batch pool and async keep-alive serving.
+"""Experiment IX — the sharded batch pool and keep-alive socket serving.
 
 The multi-core harness for PR 9's two parallel walls:
 
@@ -15,12 +15,13 @@ The multi-core harness for PR 9's two parallel walls:
   (:func:`~repro.bench.harness.reference_seconds`), to at most twice the
   baseline's; the speedup is reported, not gated, because a faster single
   worker lowers it without the pool getting slower.
-* **IX.b — asyncio JSONL + keep-alive replay vs the dial-per-request
-  ceiling.**  A seeded catalog trace is replayed at ``--concurrency 8``
-  against the asyncio JSONL transport twice: once dialing per request
-  (the PR 8 mode that recorded ~26 req/s through the fleet in
-  ``BENCH_catalog.json`` VIII.b) and once through keep-alive
-  ``JsonlClient`` workers.  Zero errors and exact sampled-verdict
+* **IX.b — JSONL keep-alive replay vs the dial-per-request ceiling.**  A
+  seeded catalog trace is replayed at ``--concurrency 8`` against the
+  JSONL socket server twice: once dialing per request and once through
+  keep-alive ``JsonlClient`` workers.  The ceiling is the ~26 req/s that
+  ``BENCH_catalog.json`` VIII.b recorded through the fleet; every fleet hop
+  then waited ~40 ms on a delayed ACK, which Nagle's algorithm held the
+  worker's second reply write for (see ``repro.server.jsonl``).  Zero errors and exact sampled-verdict
   fidelity against a fresh direct server are absolute; the >=4x-ceiling
   throughput claim is core-gated.
 
@@ -50,7 +51,7 @@ from repro.bench.harness import (
 from repro.bench.reporting import emit, write_json
 from repro.db.generators import random_solution_database
 from repro.server import CQAServer
-from repro.server.aio import start_async_jsonl_server
+from repro.server import start_jsonl_server
 from repro.service.costmodel import CostModel
 from repro.fixtures import example_queries
 from repro.workload import (
@@ -186,7 +187,7 @@ def test_sharded_batch_vs_one_worker():
 
 
 def _replay_over_socket(payloads, sender_factory, tmp):
-    server = start_async_jsonl_server(
+    server = start_jsonl_server(
         CQAServer(catalog_path=str(Path(tmp) / "catalog.sqlite3"))
     )
     sender = sender_factory("127.0.0.1", server.port)
@@ -197,10 +198,11 @@ def _replay_over_socket(payloads, sender_factory, tmp):
         if callable(closer):
             closer()
         server.shutdown()
+        server.server_close()
 
 
 def test_keepalive_replay_vs_dial_per_request():
-    """IX.b: keep-alive asyncio replay vs the dial-per-request ceiling."""
+    """IX.b: keep-alive replay vs the dial-per-request ceiling."""
     gc.collect()
     payloads = generate_trace(TraceSpec(
         requests=_REPLAY_REQUESTS, seed=17, solutions=8,
@@ -241,7 +243,7 @@ def test_keepalive_replay_vs_dial_per_request():
     _MEASURED[f"keepalive-rps@{len(payloads)}x{_CONCURRENCY}"] = keepalive_rps
 
     report = ExperimentReport(
-        "Experiment IX.b — async JSONL replay at concurrency 8: keep-alive "
+        "Experiment IX.b — JSONL replay at concurrency 8: keep-alive "
         "vs dial-per-request vs the recorded fleet ceiling",
         ["requests", "concurrency", "cores", "dial req/s", "keep-alive req/s",
          "fleet ceiling req/s", "dials (keep-alive)", "connect p50 (ms)",
@@ -271,7 +273,7 @@ def test_keepalive_replay_vs_dial_per_request():
     if not assert_core_gated(
         report,
         keepalive_rps >= 4.0 * ceiling,
-        f"keep-alive async replay should sustain >=4x the {ceiling:.2f} req/s "
+        f"keep-alive replay should sustain >=4x the {ceiling:.2f} req/s "
         f"dial-per-request fleet ceiling, got {keepalive_rps:.1f} req/s",
         min_cores=2,
     ):
@@ -322,9 +324,9 @@ def test_parallel_regression_vs_baseline():
                 f"(baseline {reference:.1f}, gate threshold {threshold:.1f})"
             )
             continue
-        # Throughput gate floor: 4x the recorded fleet ceiling — the PR 9
-        # claim itself — so shared-runner noise above that never flakes,
-        # but losing the keep-alive win always fails.
+        # Throughput gate floor: 4x the recorded fleet ceiling — the claim
+        # itself — so shared-runner noise above that never flakes, but
+        # losing the keep-alive win always fails.
         threshold = min(reference / _REGRESSION_FACTOR, 4.0 * _fleet_ceiling_rps())
         assert measured >= threshold, (
             f"{key}: regressed to {measured:.2f} "

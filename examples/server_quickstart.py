@@ -8,6 +8,10 @@ Because the certain answer is a pure function of (query, database), a
 repeated request is served straight from the cache — with ``cache: "hit"``
 provenance — and any mutation of the underlying data (a fact delta, a
 rewritten CSV, an out-of-band SQLite write) makes the next request miss.
+A :class:`repro.server.JsonlClient` keeps one socket open across calls (a
+framing ``ping`` marks the end of each batch), and the last section answers
+a batch of databases over two pool workers, which receive each database as
+its fact list, and checks the verdicts against the sequential engine.
 
 Run with::
 
@@ -16,9 +20,24 @@ Run with::
 
 import io
 import json
+import random
 
-from repro import CQAServer, Database, DatasetRef, Fact, Request, parse_query
-from repro.server import serve_stream, start_http_server, start_jsonl_server
+from repro import (
+    CertainEngine,
+    CQAServer,
+    Database,
+    DatasetRef,
+    Fact,
+    Request,
+    parse_query,
+)
+from repro.db.generators import random_solution_database
+from repro.server import (
+    JsonlClient,
+    serve_stream,
+    start_http_server,
+    start_jsonl_server,
+)
 from repro.server.client import call_http, call_jsonl, fetch_stats
 
 Q3 = "R(x|y) R(y|z)"
@@ -70,7 +89,27 @@ def main() -> None:
               f"{envelope['details'].get('cache')}")
 
         # ------------------------------------------------------------------ #
-        # 3. The stats operation: hit rates and per-query timings.
+        # 3. A keep-alive client: two calls, one dial.  Pipelined lines in
+        #    one call come back in order, each tagged with its request_id.
+        # ------------------------------------------------------------------ #
+        with JsonlClient("127.0.0.1", jsonl.port) as client:
+            lines = [
+                json.dumps({"op": "certain", "query": Q3,
+                            "rows": [["a", "b"], ["b", "c"]], "id": str(i)})
+                for i in range(3)
+            ]
+            envelopes = client.call(lines)
+            print(f"\nkeep-alive: {len(envelopes)} pipelined answers over "
+                  f"{client.connects} dial(s):")
+            for envelope in envelopes:
+                print(f"  id={envelope['request_id']} verdict={envelope['verdict']} "
+                      f"cache={envelope['details'].get('cache')}")
+            [again] = client.call([lines[0]])  # reuses the same socket
+            assert client.connects == 1
+            assert again["details"]["cache"] == "hit"
+
+        # ------------------------------------------------------------------ #
+        # 4. The stats operation: hit rates and per-query timings.
         # ------------------------------------------------------------------ #
         stats = fetch_stats(http_url=f"http://127.0.0.1:{http.port}")
         cache_stats = stats["details"]["cache"]
@@ -84,7 +123,7 @@ def main() -> None:
         http.server_close()
 
     # ------------------------------------------------------------------ #
-    # 4. Delta-driven invalidation: mutate the database behind a cached
+    # 5. Delta-driven invalidation: mutate the database behind a cached
     #    answer and the server must re-answer, never serve the stale verdict.
     # ------------------------------------------------------------------ #
     schema = parse_query(Q3).schema
@@ -102,6 +141,25 @@ def main() -> None:
           f"({fresh.details.get('cache')} — recomputed, not stale)")
 
     print(f"\n{server.describe()}")
+
+    # ------------------------------------------------------------------ #
+    # 6. Parallel batch answering: two pool workers, one chunk of fact
+    #    lists per task, verdicts identical to the sequential engine.
+    # ------------------------------------------------------------------ #
+    query = parse_query(Q3)
+    rng = random.Random(2024)
+    databases = [
+        random_solution_database(query, 20, 10, domain_size=30, rng=rng)
+        for _ in range(8)
+    ]
+    engine = CertainEngine(query)
+    sequential = engine.is_certain_many(databases)
+    sharded = engine.is_certain_many(databases, workers=2)
+    assert sharded == sequential
+    stats = engine.last_parallel_stats
+    print(f"\n{len(databases)} databases in {stats['chunks']} chunks over "
+          f"{stats['workers']} workers agree with sequential: "
+          f"{sum(sharded)}/{len(sharded)} certain")
 
 
 if __name__ == "__main__":

@@ -166,10 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="SQLite dataset catalog: enables the 'catalog' "
                               "wire op and tenant/name dataset addressing "
                               "(shared by every fleet worker)")
-    serve_parser.add_argument("--asyncio", action="store_true",
-                              help="run --socket/--http on asyncio transports "
-                              "(one event loop multiplexing all connections; "
-                              "same wire dialects)")
     serve_parser.add_argument("--calibrate-every", type=float, default=0.0,
                               metavar="SECONDS",
                               help="refit the planner's cost model from live "
@@ -623,12 +619,6 @@ def _run_run(args) -> int:
 
 def _run_serve(args) -> int:
     from .server import serve_stdio, start_http_server, start_jsonl_server
-
-    if args.asyncio:
-        from .server import (
-            start_async_http_server as start_http_server,
-            start_async_jsonl_server as start_jsonl_server,
-        )
 
     if not (args.stdio or args.socket is not None or args.http is not None):
         print("serve needs a transport: --stdio, --socket PORT and/or --http PORT",

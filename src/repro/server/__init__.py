@@ -13,7 +13,8 @@ resident and its answers reusable:
   caching with delta-driven invalidation (the certain answer is a pure
   function of (query, database), so a cached envelope is sound whenever the
   dataset fingerprint and version match);
-* :mod:`~repro.server.jsonl` — stdio and TCP JSONL transports;
+* :mod:`~repro.server.jsonl` — the stdio JSONL loop and the JSONL socket
+  server (``socketserver``);
 * :mod:`~repro.server.http_transport` — a stdlib ``http.server`` endpoint
   (``POST /answer``, ``GET /stats``, ``GET /healthz``);
 * :mod:`~repro.server.client` — scripted-call helpers (``repro client``);
@@ -23,9 +24,15 @@ resident and its answers reusable:
   :class:`~repro.server.fleet.FleetDispatcher` owns the same transports and
   fans requests out to worker processes with dataset-affinity routing.
 
+The two socket servers are the only socket transports.  Each runs one
+thread per connection, with Nagle's algorithm off (a keep-alive reply is
+two writes, and the second would wait for the client's delayed ACK) and a
+listen backlog of 100; every protocol error comes back as a JSON ``ok:
+false`` answer, never a bare drop.
+
 Every export loads its submodule on first use (PEP 562), so an in-process
 :class:`~repro.server.app.CQAServer` never imports the transports, the
-client or the fleet, nor asyncio, ``http.server``, ``ssl`` and
+client or the fleet, nor ``http.server``, ``socketserver``, ``ssl`` and
 ``urllib.request`` behind them.
 
 Quickstart::
@@ -46,10 +53,6 @@ from importlib import import_module
 
 #: Each export's submodule, imported by :func:`__getattr__` on first use.
 _EXPORTS = {
-    "AsyncHttpServer": "aio",
-    "AsyncJsonlServer": "aio",
-    "start_async_http_server": "aio",
-    "start_async_jsonl_server": "aio",
     "PING_OP": "app",
     "STATS_OP": "app",
     "AnswerCacheStrategy": "app",

@@ -394,7 +394,7 @@ class CQAServer:
         self._bump("lines")
         try:
             payload = json.loads(text)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:  # deep nesting recurses
             self._bump("errors")
             return [
                 error_answer(

@@ -390,7 +390,7 @@ class FleetDispatcher:
         self._bump("lines")
         try:
             payload = json.loads(text)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:  # deep nesting recurses
             self._bump("errors")
             return [
                 error_answer("?", "?", ValueError(f"line {line_number}: {error}"), None)
@@ -408,7 +408,7 @@ class FleetDispatcher:
         self._bump("requests")
         try:
             line = json.dumps(payload)
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, RecursionError) as error:
             self._bump("errors")
             return [
                 error_answer("?", "?", ValueError(f"line {line_number}: {error}"), None)

@@ -1,7 +1,8 @@
 """The HTTP transport: a stdlib ``http.server`` endpoint over the server core.
 
-No framework, no dependencies — a ``ThreadingHTTPServer`` whose handler
-translates three routes onto :class:`~repro.server.app.CQAServer`:
+No framework, no dependencies — a ``ThreadingHTTPServer`` (one thread per
+connection, keep-alive by default) whose handler translates three routes
+onto :class:`~repro.server.app.CQAServer`; a ``?query`` suffix is ignored:
 
 ``POST /answer``
     Body: one JSON request object (the ``repro run`` line dialect) or an
@@ -16,6 +17,15 @@ translates three routes onto :class:`~repro.server.app.CQAServer`:
     ``{"ok": true, "uptime_s": ...}`` — a liveness probe that never touches
     the session.
 
+Every error is a JSON ``ok: false`` body under a status line: an unknown
+path (404), a method other than GET and POST (405), and a request that
+does not parse (http.server's own 400, 414, 431 or 505, which it would
+otherwise send as HTML, with no status line at all for a request line it
+reads as HTTP/0.9).  An error that leaves part of the request unread also
+closes the connection.  As on the JSONL socket, Nagle's algorithm is off
+(the headers and the body are two writes, and the second would wait for
+the client's delayed ACK) and the listen backlog is 100.
+
 Threads share the one resident :class:`~repro.server.app.CQAServer` (its
 internal lock serialises session access), so the HTTP endpoint and a JSONL
 socket can serve one mixed workload off the same pool and cache.
@@ -24,14 +34,14 @@ socket can serve one mixed workload off the same pool and cache.
 from __future__ import annotations
 
 import json
-import sys
-import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List
 
 from ..service.envelope import ENVELOPE_SCHEMA_VERSION
 from .app import CQAServer
+from .jsonl import AppServer, bind_server
 
 #: Maximum accepted request-body size (a guard against unbounded reads).
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -42,6 +52,10 @@ class HttpAnswerHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-cqa"
     protocol_version = "HTTP/1.1"
+    #: http.server's default, HTTP/0.9, answers a request line that does
+    #: not parse (and a two-word one) without a status line or headers.
+    default_request_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # see the module docs
     #: Socket timeout: a client announcing a body it never sends must not
     #: pin a handler thread and socket forever on the resident server.
     timeout = 30
@@ -56,8 +70,11 @@ class HttpAnswerHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # routes
     # ------------------------------------------------------------------ #
+    def _route(self) -> str:
+        return self.path.split("?", 1)[0].rstrip("/") or "/"
+
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        path = self.path.rstrip("/") or "/"
+        path = self._route()
         if path == "/stats":
             self.app._bump("stats_requests")
             self._send_json(200, self.app.stats_answer().to_json_dict())
@@ -70,8 +87,7 @@ class HttpAnswerHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"ok": False, "error": f"unknown path {self.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        path = self.path.rstrip("/")
-        if path != "/answer":
+        if self._route() != "/answer":
             # The body is never read on this branch, so keep-alive must end
             # here too (see the invariant below).
             self._send_json(
@@ -110,7 +126,7 @@ class HttpAnswerHandler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
+        except (ValueError, RecursionError) as error:  # deep nesting recurses
             self._send_json(400, {"ok": False, "error": f"malformed JSON body: {error}"})
             return
         items: List[object] = payload if isinstance(payload, list) else [payload]
@@ -128,6 +144,14 @@ class HttpAnswerHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # plumbing
     # ------------------------------------------------------------------ #
+    def send_error(self, code: int, message=None, explain=None) -> None:
+        """http.server's protocol errors, as JSON under a status line."""
+        if code == HTTPStatus.NOT_IMPLEMENTED:  # no do_<method>: GET and POST only
+            code = HTTPStatus.METHOD_NOT_ALLOWED
+            message = f"method {self.command} not allowed"
+        error = message or HTTPStatus(code).phrase
+        self._send_json(code, {"ok": False, "error": error}, close=True)
+
     def _send_json(self, status: int, payload: dict, close: bool = False) -> None:
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
@@ -140,33 +164,10 @@ class HttpAnswerHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
 
-class HttpServer(ThreadingHTTPServer):
+class HttpServer(AppServer, ThreadingHTTPServer):
     """Threading HTTP server carrying the resident :class:`CQAServer`."""
 
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, app: CQAServer, address=("127.0.0.1", 0)) -> None:
-        self.app = app
-        super().__init__(address, HttpAnswerHandler)
-
-    def handle_error(self, request, client_address) -> None:
-        """Suppress tracebacks for clients that simply went away.
-
-        A disconnect mid-response (BrokenPipe/ConnectionReset) or a read
-        timeout is the client's doing, not a server fault; the default
-        socketserver behaviour would dump a traceback to stderr per
-        impatient client.  Genuine server errors still get the default
-        report.
-        """
-        if isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
-            return
-        super().handle_error(request, client_address)
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful when constructed with port 0)."""
-        return self.server_address[1]
+    handler_class = HttpAnswerHandler
 
 
 def start_http_server(
@@ -177,10 +178,4 @@ def start_http_server(
     Mirrors :func:`repro.server.jsonl.start_jsonl_server`: with
     ``in_thread=False`` the caller owns ``serve_forever()``.
     """
-    server = HttpServer(app, (host, port))
-    if in_thread:
-        thread = threading.Thread(
-            target=server.serve_forever, name="repro-http-server", daemon=True
-        )
-        thread.start()
-    return server
+    return bind_server(HttpServer, app, host, port, in_thread, "repro-http-server")

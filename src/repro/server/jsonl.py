@@ -10,9 +10,18 @@ soon as it exists.
 * :func:`serve_stream` — the core loop over text streams; :func:`serve_stdio`
   binds it to the process's stdin/stdout (the CLI's ``repro serve --stdio``).
 * :class:`JsonlServer` / :func:`start_jsonl_server` — a
-  ``socketserver.ThreadingTCPServer`` running the same loop per connection.
-  Connections are independent, but all of them answer through the one
-  :class:`~repro.server.app.CQAServer` (one session pool, one cache).
+  ``socketserver.ThreadingTCPServer`` running the same loop per connection,
+  one thread each.  Connections are independent, but all of them answer
+  through the one :class:`~repro.server.app.CQAServer` (one session pool,
+  one cache).
+
+A keep-alive exchange writes twice: the answers, then the echo of the
+framing ``ping`` (:class:`~repro.server.client.JsonlClient`) or ``stats``
+sentinel (the fleet dispatcher).  With Nagle's algorithm on, the second
+small write waits for the client's delayed ACK, about 40 ms on Linux, so
+every socket sets ``TCP_NODELAY``.  The listen backlog is 100 instead of
+socketserver's 5, which drops connection requests once a few dozen clients
+dial at once (each dropped one retries after 1 s).
 """
 
 from __future__ import annotations
@@ -85,6 +94,8 @@ def serve_stdio(
 class _JsonlConnectionHandler(socketserver.StreamRequestHandler):
     """One client connection: the stream loop over the socket's file views."""
 
+    disable_nagle_algorithm = True  # see the module docs
+
     def handle(self) -> None:  # pragma: no cover - exercised over real sockets
         app: CQAServer = self.server.app
         line_number = 0
@@ -110,18 +121,25 @@ class _JsonlConnectionHandler(socketserver.StreamRequestHandler):
             self.wfile.flush()
 
 
-class JsonlServer(socketserver.ThreadingTCPServer):
-    """Threaded TCP server speaking the JSONL dialect (see module docs)."""
+class AppServer:
+    """What both socket servers share, mixed into a ``socketserver`` class.
+
+    One daemon thread per connection, all answering through ``app``; the
+    listen backlog of 100 (see the module docs); and no traceback for a
+    client that disconnected or timed out, which is its doing, not a fault.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
+    request_queue_size = 100
+    #: The request handler class of the concrete server.
+    handler_class: type
 
     def __init__(self, app: CQAServer, address: Tuple[str, int] = ("127.0.0.1", 0)) -> None:
         self.app = app
-        super().__init__(address, _JsonlConnectionHandler)
+        super().__init__(address, self.handler_class)
 
     def handle_error(self, request, client_address) -> None:
-        """Clients that disconnect mid-reply are not server errors (no traceback)."""
         if isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
             return
         super().handle_error(request, client_address)
@@ -130,6 +148,20 @@ class JsonlServer(socketserver.ThreadingTCPServer):
     def port(self) -> int:
         """The bound port (useful when constructed with port 0)."""
         return self.server_address[1]
+
+
+def bind_server(server_class, app, host: str, port: int, in_thread: bool, name: str):
+    """Bind ``server_class`` and (by default) serve it on a daemon thread."""
+    server = server_class(app, (host, port))
+    if in_thread:
+        threading.Thread(target=server.serve_forever, name=name, daemon=True).start()
+    return server
+
+
+class JsonlServer(AppServer, socketserver.ThreadingTCPServer):
+    """Threaded TCP server speaking the JSONL dialect (see module docs)."""
+
+    handler_class = _JsonlConnectionHandler
 
 
 def start_jsonl_server(
@@ -141,10 +173,4 @@ def start_jsonl_server(
     ``serve_forever()`` itself (the CLI's foreground mode).  Either way the
     returned server exposes the bound ``port`` and ``shutdown()``.
     """
-    server = JsonlServer(app, (host, port))
-    if in_thread:
-        thread = threading.Thread(
-            target=server.serve_forever, name="repro-jsonl-server", daemon=True
-        )
-        thread.start()
-    return server
+    return bind_server(JsonlServer, app, host, port, in_thread, "repro-jsonl-server")

@@ -1,17 +1,20 @@
-"""Torture tests for the asyncio transports (PR 9).
+"""Torture tests for the socket transports: the JSONL and HTTP servers.
 
-The asyncio JSONL/HTTP servers multiplex every connection on one event loop;
-these tests attack exactly the places where that model can rot:
+Both run one thread per connection over the one resident server.  These
+tests attack the places where a socket transport can rot:
 
 * a **slowloris** client dribbling a partial line must not stall other
-  connections (the threaded server tolerated this by burning a thread —
-  the async one must tolerate it by design);
+  connections (it holds only its own thread);
 * a client **disconnecting mid-request** must neither poison the shared
   session pool nor leak the in-flight answer;
 * concurrent keep-alive readers racing ``pool.exclusive()`` mutations must
-  drain cleanly (reader/writer fairness survives the transport swap);
-* wire parity: ping framing, oversized lines, HTTP status/keep-alive
-  semantics all match the threaded transports.
+  drain cleanly (reader/writer fairness holds over the wire);
+* the wire contract: ping framing, oversized lines, HTTP status/keep-alive
+  semantics.
+
+(The module name dates from the asyncio transports these tests first
+covered; the keep-alive latency pins, the JSON protocol errors and the
+wire fuzz are in ``tests/test_socket_transports.py``.)
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import time
 
 import pytest
 
-from repro.server import CQAServer, JsonlClient
-from repro.server.aio import start_async_http_server, start_async_jsonl_server
+from repro.server import CQAServer, JsonlClient, start_http_server, start_jsonl_server
 
 Q = "R(x|y) R(y|z)"
 
@@ -43,16 +45,18 @@ def app():
 
 @pytest.fixture()
 def jsonl(app):
-    server = start_async_jsonl_server(app)
+    server = start_jsonl_server(app)
     yield server
     server.shutdown()
+    server.server_close()
 
 
 @pytest.fixture()
 def http_server(app):
-    server = start_async_http_server(app)
+    server = start_http_server(app)
     yield server
     server.shutdown()
+    server.server_close()
 
 
 # --------------------------------------------------------------------------- #
@@ -90,9 +94,9 @@ class TestJsonlDialect:
         # The server's limit is 64MB; sending that much through loopback is
         # slow, so attack with a real >limit line only in spirit: verify the
         # stream-limit path by sending a line just over the cap.
-        from repro.server import aio
+        from repro.server import jsonl as transport
 
-        big = b"x" * (aio.MAX_LINE_BYTES + 16)
+        big = b"x" * (transport.MAX_LINE_BYTES + 16)
         with socket.create_connection(("127.0.0.1", jsonl.port)) as conn:
             conn.sendall(big + b"\n")
             reader = conn.makefile("rb")
@@ -290,18 +294,18 @@ class TestAsyncHttp:
 # --------------------------------------------------------------------------- #
 class TestLifecycle:
     def test_shutdown_with_open_connections_is_clean(self, app):
-        server = start_async_jsonl_server(app)
+        server = start_jsonl_server(app)
         conn = socket.create_connection(("127.0.0.1", server.port))
         conn.sendall((_line() + "\n").encode("utf-8"))
         reader = conn.makefile("r")
         assert json.loads(reader.readline())["ok"] is True
         server.shutdown()  # the idle open connection must not wedge this
-        server.server_close()  # idempotent
+        server.server_close()  # releases the listening socket
         conn.close()
 
     def test_both_transports_share_one_app(self, app):
-        jsonl = start_async_jsonl_server(app)
-        web = start_async_http_server(app)
+        jsonl = start_jsonl_server(app)
+        web = start_http_server(app)
         try:
             with JsonlClient("127.0.0.1", jsonl.port) as client:
                 client.call([_line()])
@@ -314,5 +318,6 @@ class TestLifecycle:
             # Second transport hits the first transport's cache entry.
             assert answer["details"]["cache"] == "hit"
         finally:
-            jsonl.shutdown()
-            web.shutdown()
+            for server in (jsonl, web):
+                server.shutdown()
+                server.server_close()

@@ -22,7 +22,7 @@ import sys
 from repro import CQAServer
 CQAServer()
 heavy = ("asyncio", "http.server", "ssl", "urllib.request") + tuple(
-    "repro.server." + name for name in ("aio", "http_transport", "jsonl", "client", "fleet")
+    "repro.server." + name for name in ("http_transport", "jsonl", "client", "fleet")
 )
 loaded = [name for name in heavy if name in sys.modules]
 assert not loaded, loaded

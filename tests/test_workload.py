@@ -270,12 +270,12 @@ class TestReplayIntegration:
 
     def test_keepalive_replay_reuses_connections(self, tmp_path):
         """Keep-alive socket replay: far fewer dials than requests, 0 errors."""
-        from repro.server.aio import start_async_jsonl_server
+        from repro.server import start_jsonl_server
         from repro.workload import jsonl_keepalive_sender
 
         payloads = generate_trace(TraceSpec(
             **{**SMALL, "requests": 16, "mode": "rows"}))
-        server = start_async_jsonl_server(
+        server = start_jsonl_server(
             CQAServer(catalog_path=str(tmp_path / "catalog.sqlite3")))
         sender = jsonl_keepalive_sender("127.0.0.1", server.port)
         try:
@@ -283,6 +283,7 @@ class TestReplayIntegration:
         finally:
             sender.close()
             server.shutdown()
+            server.server_close()
         assert report.errors == 0
         assert report.requests == len(payloads)
         # One dial per worker thread, not per request.
@@ -292,16 +293,17 @@ class TestReplayIntegration:
         assert stats["connect_ms"]["total"] > 0.0
 
     def test_one_shot_sender_dials_per_request(self, tmp_path):
-        from repro.server.aio import start_async_jsonl_server
+        from repro.server import start_jsonl_server
         from repro.workload import jsonl_sender
 
         payloads = generate_trace(TraceSpec(
             **{**SMALL, "requests": 6, "mode": "rows"}))
-        server = start_async_jsonl_server(
+        server = start_jsonl_server(
             CQAServer(catalog_path=str(tmp_path / "catalog.sqlite3")))
         try:
             report = replay(payloads, jsonl_sender("127.0.0.1", server.port))
         finally:
             server.shutdown()
+            server.server_close()
         assert report.errors == 0
         assert report.connects == report.requests == len(payloads)
