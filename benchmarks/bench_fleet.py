@@ -9,6 +9,13 @@ Measures what PR 7's ``repro.fleet`` front door buys:
   answer must be a persistent-tier hit; the cold/warm speedup is the
   headline number and must clear **3x** — this is pure avoided recompute vs
   one SQLite row read, so the bound holds on any machine (not core-gated).
+  The warm restart is repeated five times (each a fresh server on the same
+  file) and its median time is the one reported.  The regression gate
+  holds what the experiment guards, that time, in units of a reference
+  computation read next to each restart
+  (:func:`~repro.bench.harness.reference_seconds`), to at most twice the
+  baseline's: a faster cold path lowers the speedup without the warm
+  restart getting slower.
 * **VII.b — affinity vs random routing: avoided derived-cache rebuilds.**
   The same request stream (R rounds over D datasets) is driven through a
   fleet of W in-process workers twice — once with consistent-hash affinity
@@ -17,27 +24,31 @@ Measures what PR 7's ``repro.fleet`` front door buys:
   routing re-resolves and re-derives per (worker, dataset) pair, ~D*W.  The
   build counts come from :func:`repro.derived_cache_totals` (process-global,
   monotone — exactly why in-process workers are used here); affinity must
-  build strictly less, and the latency ratio is reported alongside.  Also
-  not core-gated: avoided rebuilds are visible on one core.
+  build strictly less, and the latency ratio of the two modes' median
+  times over three alternating runs is reported alongside.  Also not
+  core-gated: avoided rebuilds are visible on one core.
 * **VII.c — sustained throughput, 1 worker vs W workers.**  The same
   uncached workload, driven by W client threads, through a single-worker
-  fleet and a W-worker fleet of real ``repro fleet-worker`` subprocesses.
-  The dispatcher serialises each worker's exchanges, so only concurrent
-  clients can keep several workers computing at once.  Parallel speedup
-  needs parallel hardware, so the >=1x assertion is **core-gated** (4
-  cores: three worker processes plus the dispatcher); the req/s numbers
-  are always reported.  On 2 vCPUs three workers serve 0.65–0.73x of one
-  worker's req/s.
+  fleet and a W-worker fleet of real ``repro fleet-worker`` subprocesses,
+  three alternating runs each (median times).  The dispatcher serialises
+  each worker's exchanges, so only concurrent clients can keep several
+  workers computing at once.  Parallel speedup needs parallel hardware,
+  so the >=1x assertion is **core-gated** (4 cores: three worker
+  processes plus the dispatcher); the req/s numbers are always reported.
+  On 2 vCPUs three workers serve 0.62–0.90x of one worker's req/s.
 
 Environment knobs (for CI smoke runs): ``BENCH_FLEET_DATASETS``,
 ``BENCH_FLEET_ROUNDS``, ``BENCH_FLEET_WORKERS``, ``BENCH_FLEET_SOLUTIONS``,
 ``BENCH_FLEET_REQUESTS``.  A JSON baseline is written next to this file as
-``BENCH_fleet.json`` on default-sized runs.
+``BENCH_fleet.json`` on default-sized runs.  VII.b and VII.c are gated on
+their ratios: more than a 2x loss vs the baseline fails.
 """
 
+import gc
 import json
 import os
 import random
+import statistics
 import threading
 from pathlib import Path
 
@@ -46,6 +57,7 @@ from repro.bench.harness import (
     ExperimentReport,
     assert_core_gated,
     effective_cores,
+    reference_seconds,
     timed,
 )
 from repro.bench.reporting import emit, write_json
@@ -78,13 +90,20 @@ _DEFAULT_SIZED_RUN = not any(
 _TARGET_RESTART_SPEEDUP = 3.0
 #: Regression gate vs the committed baseline (matches the other suites).
 _REGRESSION_FACTOR = 2.0
-#: Absolute cap on gate thresholds (see bench_server.py).
+#: Absolute cap on the ratio gates' thresholds (see bench_server.py).
 _GATE_FLOOR = 4.0
+#: VII.a's column for the warm restart's time, in reference units.
+_WARM_COLUMN = "warm restart (ref)"
+#: Warm restarts whose median time VII.a reports and gates.
+_RESTARTS = 5
+#: Alternating runs of each VII.b / VII.c mode; their median times count.
+_REPEATS = 3
 
 _BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_fleet.json"
 
 _JSON_REPORTS = []
-#: experiment key -> measured speedup, consumed by the regression gate.
+#: experiment key -> measured ratio (VII.b, VII.c), or the warm restart's
+#: time in reference units (VII.a), consumed by the regression gate.
 _MEASURED = {}
 
 
@@ -140,13 +159,21 @@ def test_warm_restart_replay_vs_cold():
             return verdicts
 
         cold_verdicts, cold_time = timed(cold)
-        warm_verdicts, warm_time = timed(warm_restart)
-    assert warm_verdicts == cold_verdicts
+        gc.collect()
+        warm_times, references = [], []
+        for _ in range(_RESTARTS):
+            references.append(reference_seconds())
+            warm_verdicts, elapsed = timed(warm_restart)
+            assert warm_verdicts == cold_verdicts
+            warm_times.append(elapsed)
+        references.append(reference_seconds())
+    warm_time = statistics.median(warm_times)
+    warm_cost = warm_time / statistics.median(references)
     speedup = cold_time / warm_time if warm_time else float("inf")
-    _MEASURED[f"warm-restart@{len(payloads)}"] = speedup
+    _MEASURED[f"warm-restart@{len(payloads)}"] = warm_cost
     report = ExperimentReport(
         "Experiment VII.a — warm restart: persistent-tier replay vs cold recompute",
-        ["datasets", "cold (s)", "warm restart (s)", "speedup"],
+        ["datasets", "cold (s)", "warm restart (s)", "speedup", _WARM_COLUMN],
     )
     report.add(
         datasets=len(payloads),
@@ -154,6 +181,7 @@ def test_warm_restart_replay_vs_cold():
             "cold (s)": f"{cold_time:.4f}",
             "warm restart (s)": f"{warm_time:.4f}",
             "speedup": f"{speedup:.1f}x",
+            _WARM_COLUMN: f"{warm_cost:.2f}",
         },
     )
     emit(report)
@@ -207,11 +235,22 @@ def _routing_phase(routing, payloads):
 def test_affinity_vs_random_routing():
     """VII.b: affinity routing avoids per-worker derived-cache rebuilds."""
     payloads = _payloads(_DATASETS, max(20, _SOLUTIONS // 4), tag=1)
-    affinity_verdicts, affinity_time, affinity_builds = _routing_phase(
-        "affinity", payloads
-    )
-    random_verdicts, random_time, random_builds = _routing_phase("random", payloads)
-    assert affinity_verdicts == random_verdicts
+    affinity_times, random_times = [], []
+    for _ in range(_REPEATS):
+        affinity_verdicts, elapsed, affinity_builds = _routing_phase(
+            "affinity", payloads
+        )
+        affinity_times.append(elapsed)
+        random_verdicts, elapsed, random_builds = _routing_phase("random", payloads)
+        random_times.append(elapsed)
+        assert affinity_verdicts == random_verdicts
+        # The acceptance criterion: strictly fewer fleet-wide derived rebuilds.
+        assert affinity_builds < random_builds, (
+            f"affinity routing must avoid rebuilds: affinity={affinity_builds} "
+            f"random={random_builds}"
+        )
+    affinity_time = statistics.median(affinity_times)
+    random_time = statistics.median(random_times)
     latency_ratio = random_time / affinity_time if affinity_time else float("inf")
     _MEASURED[f"affinity-vs-random@{len(payloads)}x{_WORKERS}"] = latency_ratio
     report = ExperimentReport(
@@ -238,11 +277,6 @@ def test_affinity_vs_random_routing():
     )
     emit(report)
     _JSON_REPORTS.append(report)
-    # The acceptance criterion: strictly fewer fleet-wide derived rebuilds.
-    assert affinity_builds < random_builds, (
-        f"affinity routing must avoid rebuilds: affinity={affinity_builds} "
-        f"random={random_builds}"
-    )
 
 
 def test_throughput_one_vs_many_workers():
@@ -278,9 +312,15 @@ def test_throughput_one_vs_many_workers():
             dispatcher.close()
         return verdicts, elapsed
 
-    single_verdicts, single_time = drive(1)
-    fleet_verdicts, fleet_time = drive(_WORKERS)
-    assert fleet_verdicts == single_verdicts
+    single_times, fleet_times = [], []
+    for _ in range(_REPEATS):
+        single_verdicts, elapsed = drive(1)
+        single_times.append(elapsed)
+        fleet_verdicts, elapsed = drive(_WORKERS)
+        fleet_times.append(elapsed)
+        assert fleet_verdicts == single_verdicts
+    single_time = statistics.median(single_times)
+    fleet_time = statistics.median(fleet_times)
     single_rps = len(stream) / single_time if single_time else float("inf")
     fleet_rps = len(stream) / fleet_time if fleet_time else float("inf")
     speedup = fleet_rps / single_rps if single_rps else float("inf")
@@ -313,17 +353,22 @@ def test_throughput_one_vs_many_workers():
 
 
 def test_fleet_regression_vs_baseline():
-    """Gate: measured speedups may not regress >2x vs the committed baseline."""
+    """Gate: measurements may not regress >2x vs the committed baseline.
+
+    VII.a: the warm restart's time, in reference units, may not exceed twice
+    the baseline's.  VII.b, VII.c: the ratio may not fall below half the
+    baseline's (capped at ``_GATE_FLOOR``).
+    """
     if not _BASELINE_PATH.exists():
         return
     baseline = json.loads(_BASELINE_PATH.read_text(encoding="utf-8"))
-    baseline_speedups = {}
+    baseline_values = {}
     for entry in baseline.get("reports", ()):
         title = entry.get("title", "")
         for row in entry.get("rows", ()):
             if "persistent-tier replay" in title:
                 key = f"warm-restart@{row.get('datasets')}"
-                text = str(row.get("speedup", "")).rstrip("x")
+                text = str(row.get(_WARM_COLUMN, ""))
             elif "dataset-affinity vs random" in title:
                 key = f"affinity-vs-random@{row.get('datasets')}x{_WORKERS}"
                 text = str(row.get("latency ratio", "")).rstrip("x")
@@ -333,15 +378,22 @@ def test_fleet_regression_vs_baseline():
             else:
                 continue
             try:
-                baseline_speedups[key] = float(text)
+                baseline_values[key] = float(text)
             except ValueError:
                 continue
     checked = 0
     for key, measured in _MEASURED.items():
-        reference = baseline_speedups.get(key)
+        reference = baseline_values.get(key)
         if not reference:
             continue
         checked += 1
+        if key.startswith("warm-restart"):
+            threshold = reference * _REGRESSION_FACTOR
+            assert measured <= threshold, (
+                f"{key}: the warm restart took {measured:.2f} reference units "
+                f"(baseline {reference:.2f}, gate threshold {threshold:.2f})"
+            )
+            continue
         threshold = min(reference / _REGRESSION_FACTOR, _GATE_FLOOR)
         assert measured >= threshold, (
             f"{key}: regressed to {measured:.2f}x "

@@ -210,15 +210,21 @@ def _reference_work() -> int:
     return components
 
 
-def reference_seconds(samples: int = 7) -> float:
-    """Median time of :func:`_reference_work` over ``samples`` runs.
+#: Runs of :func:`_reference_work` whose median is one reference reading.
+_REFERENCE_SAMPLES = 7
+
+
+def reference_seconds() -> float:
+    """Median time of :func:`_reference_work` over ``_REFERENCE_SAMPLES`` runs.
 
     The machine's speed drifts (other tenants share its cores), so a gate
     on an absolute time is divided by this reference, timed next to it: the
     quotient is the time in units of a fixed computation, and moves only
     when the gated code does.
     """
-    return statistics.median(timed(_reference_work)[1] for _ in range(samples))
+    return statistics.median(
+        timed(_reference_work)[1] for _ in range(_REFERENCE_SAMPLES)
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -12,9 +12,8 @@ tests attack the places where a socket transport can rot:
 * the wire contract: ping framing, oversized lines, HTTP status/keep-alive
   semantics.
 
-(The module name dates from the asyncio transports these tests first
-covered; the keep-alive latency pins, the JSON protocol errors and the
-wire fuzz are in ``tests/test_socket_transports.py``.)
+``tests/test_socket_transports.py`` pins the rest of the wire contract:
+keep-alive latency, JSON protocol errors, deep nesting and a wire fuzz.
 """
 
 from __future__ import annotations
