@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..db.fact_store import Database, Repair
@@ -29,6 +31,7 @@ from ..logic.encode import FalsifyingRepairEncoding, certain_via_sat
 from .certk import CertK
 from .matching import MatchingAlgorithm
 from .query import TwoAtomQuery, subsuming_homomorphism
+from .solutions import block_partition, build_solution_graph
 from .terms import Fact
 
 #: Default sharding granularity of :meth:`CertainEngine.explain_many`:
@@ -179,9 +182,7 @@ class CertainEngine:
         if method == methods.TRIVIAL:
             report = EngineReport(certain_trivial(self.query, database), "one-atom check", True)
         elif method == methods.SYNTACTIC_EASY:
-            report = EngineReport(
-                self._cert2.is_certain(database), "Cert_2 (Theorem 6.1)", True
-            )
+            report = self._explain_theorem61(database, want_witness)
         elif method in (methods.SYNTACTIC_HARD, methods.FORK_TRIPATH):
             report = self._explain_via_sat(
                 database, "SAT oracle (coNP-complete query)", want_witness
@@ -205,6 +206,37 @@ class CertainEngine:
                     True, f"{report.algorithm}; overturned by the witness SAT solve", True
                 )
         return report
+
+    def _explain_theorem61(self, database: Database, want_witness: bool) -> EngineReport:
+        """A Theorem 6.1 answer: greedy falsifying repairs, else ``Cert_2``.
+
+        The components run smallest first, each reading its memoised greedy
+        choice or running the greedy (see
+        :meth:`~repro.core.solutions.BlockComponent.falsifying_choice`).  A
+        choice in every component is a repair falsifying ``q``: no solution
+        leaves a component.  ``Cert_2``, complete on this class, answers when
+        some component has no choice or a memoised certain fixpoint.
+        """
+        components = block_partition(self.query, database).components
+        if not any(component.memo.get(2, (False,))[0] for component in components):
+            graph = build_solution_graph(self.query, database)
+            choices = []
+            for component in sorted(components, key=attrgetter("size")):
+                choice = component.falsifying_choice(database, graph)
+                if choice is None:
+                    break
+                choices.append(choice)
+            else:
+                witness = None
+                if want_witness:
+                    block_of = database.fact_blocks
+                    fact = database.fact
+                    witness = Repair(tuple(
+                        fact(fid) for fid in sorted(chain.from_iterable(choices),
+                                                    key=block_of.__getitem__)
+                    ))
+                return EngineReport(False, "greedy falsifying repair", True, witness)
+        return EngineReport(self._cert2.run(database).certain, "Cert_2 (Theorem 6.1)", True)
 
     def _explain_polynomial_negative(
         self, database: Database, want_witness: bool

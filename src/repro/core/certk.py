@@ -63,7 +63,6 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from itertools import chain, combinations
-from operator import attrgetter
 from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..db.fact_store import Database
@@ -139,7 +138,9 @@ class CertK:
         ``Cert_k`` outcome is memoised is not run again, and a memoised
         certain one decides the run at once.  The rest run smallest first,
         each memoising its outcome on its record, up to the first certain
-        one.
+        one; components with a memoised greedy falsifying choice go last,
+        as none of them can be certain (the order moves neither the answer
+        nor ``delta``).
         """
         k = self.k
         components = block_partition(self.query, database).components
@@ -152,7 +153,7 @@ class CertK:
                 return CertKResult(True, k, {frozenset()})
         graph = build_solution_graph(self.query, database)
         processed = 0
-        for component in sorted(stale, key=attrgetter("size")):
+        for component in sorted(stale, key=lambda c: (bool(c.choice), c.size)):
             fixpoint = _WorklistFixpoint(k, database, graph, component.blocks)
             certain = fixpoint.solve()
             processed += fixpoint.processed

@@ -16,6 +16,7 @@ consumers and the result of the naive oracle.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..db.fact_store import Database
@@ -293,21 +294,97 @@ def build_solution_graph_naive(query: TwoAtomQuery, database: Database) -> FactG
 class BlockComponent:
     """One ``q``-connected block component of Proposition 10.6.
 
-    ``blocks`` lists its block indices, ``size`` counts its facts, and
-    ``memo`` maps ``k`` to the component's finished ``Cert_k`` fixpoint as
-    ``(certain, antichain)`` over fact ids (see
-    :meth:`repro.core.certk.CertK.run`).  A record is never edited: a delta
-    that touches the component retires it and derives a fresh one, so a
-    live record's memo always describes the component's current facts and
-    solutions.
+    ``blocks`` lists its block indices and ``size`` counts its facts.  Two
+    outcomes are memoised on the record:
+
+    * ``memo`` maps ``k`` to the component's finished ``Cert_k`` fixpoint as
+      ``(certain, antichain)`` over fact ids (see
+      :meth:`repro.core.certk.CertK.run`);
+    * ``choice`` is ``None`` until :meth:`falsifying_choice` runs the greedy,
+      then the fact ids it chose, one per block in ``blocks`` order, or
+      ``()`` when it found none.
+
+    A record is never edited: a delta that touches the component retires it
+    and derives a fresh one, so a live record's memos always describe the
+    component's current facts and solutions.
     """
 
-    __slots__ = ("blocks", "size", "memo")
+    __slots__ = ("blocks", "size", "memo", "choice")
 
     def __init__(self, blocks: List[int], size: int) -> None:
         self.blocks = blocks
         self.size = size
         self.memo: Dict[int, tuple] = {}
+        self.choice: Optional[Tuple[int, ...]] = None
+
+    def falsifying_choice(
+        self, database: Database, graph: SolutionGraph
+    ) -> Optional[Tuple[int, ...]]:
+        """The component's greedy falsifying choice (memoised), or ``None``.
+
+        See :func:`greedy_falsifying_choice`; ``graph`` is the database's
+        cached solution graph.
+        """
+        if self.choice is None:
+            self.choice = greedy_falsifying_choice(database, graph, self.blocks) or ()
+        return self.choice or None
+
+
+def greedy_falsifying_choice(
+    database: Database, graph: SolutionGraph, blocks: List[int]
+) -> Optional[Tuple[int, ...]]:
+    """One fact id per block of ``blocks`` with no solution among them, or ``None``.
+
+    A repair falsifies ``q`` exactly when it holds no self-loop and no two
+    facts joined by an edge of ``G(D, q)`` (Section 2).  The search is
+    greedy and never backtracks: a block's options are its facts that are
+    no self-loops; blocks are taken fewest live options first (a heap); a
+    block takes its option with the fewest solutions (ties by id), and the
+    choice strikes its neighbours from the other blocks' options (forward
+    checking).  A block with no option left ends the attempt, so ``None``
+    does not mean no such choice exists.  ``blocks`` must be closed under
+    solutions (a block component), and the choice comes back in its order,
+    checked against the graph before it is returned.
+    """
+    table = database.block_table
+    block_of = database.fact_blocks
+    edges = graph.edges
+    loops = graph.self_loops
+    options: Dict[int, Set[int]] = {}
+    heap: List[Tuple[int, int]] = []
+    for number in blocks:
+        live = set(table[number].ids)
+        if loops:
+            live.difference_update(loops)
+        if not live:
+            return None
+        options[number] = live
+        heap.append((len(live), number))
+    heapify(heap)
+    chosen: Dict[int, int] = {}
+    while heap:
+        count, number = heappop(heap)
+        live = options[number]
+        if number in chosen or count != len(live):
+            continue  # taken, or a stale entry: a fresher one is queued
+        pick = min(live, key=lambda fid: (len(edges[fid]), fid))
+        chosen[number] = pick
+        for other in edges[pick]:
+            target = block_of[other]
+            if target in chosen:
+                continue
+            remaining = options[target]
+            if other in remaining:
+                remaining.discard(other)
+                if not remaining:
+                    return None
+                heappush(heap, (len(remaining), target))
+    choice = tuple(chosen[number] for number in blocks)
+    picked = set(choice)
+    for fid in choice:
+        if fid in loops or not edges[fid].isdisjoint(picked):
+            return None
+    return choice
 
 
 class BlockPartition:

@@ -16,11 +16,14 @@ from repro import (
     find_falsifying_repair,
     parse_query,
 )
+from repro.core.solutions import BlockComponent, block_partition
 from repro.db.fact_store import is_repair_of
 from repro.db.generators import random_solution_database
 
 REPAIR_LABEL = "matching repair (Proposition 10.3)"
 SAT_LABEL = "SAT oracle (confirming a negative polynomial-algorithm answer)"
+GREEDY_LABEL = "greedy falsifying repair"
+CERT2_LABEL = "Cert_2 (Theorem 6.1)"
 
 
 def f(query, *values):
@@ -190,16 +193,17 @@ class TestCertainEngine:
         assert engine.classification is result
 
 
+@pytest.fixture
+def no_sat(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the SAT leg ran")
+
+    monkeypatch.setattr(repro.core.certain, "certain_exact", refuse)
+    monkeypatch.setattr(repro.core.certain, "find_falsifying_repair", refuse)
+
+
 class TestMatchingRepairLeg:
     """Negative ``Cert_k ∨ ¬matching`` answers: the matching's repair, then SAT."""
-
-    @pytest.fixture
-    def no_sat(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the SAT leg ran")
-
-        monkeypatch.setattr(repro.core.certain, "certain_exact", refuse)
-        monkeypatch.setattr(repro.core.certain, "find_falsifying_repair", refuse)
 
     @pytest.mark.parametrize("name", ["q5", "q6"])
     @pytest.mark.parametrize("seed", range(3))
@@ -245,3 +249,81 @@ class TestMatchingRepairLeg:
         witnessed = engine.explain(db, want_witness=True)
         assert witnessed.algorithm == SAT_LABEL
         assert_falsifying_repair(query, db, witnessed.witness)
+
+
+class TestGreedyRepairLeg:
+    """Theorem 6.1 answers: a greedy falsifying repair per component, else ``Cert_2``."""
+
+    @staticmethod
+    def count_cert2_runs(engine, monkeypatch):
+        runs = []
+        run = engine._cert2.run
+
+        def counted(database):
+            runs.append(database)
+            return run(database)
+
+        monkeypatch.setattr(engine._cert2, "run", counted)
+        return runs
+
+    @pytest.mark.parametrize("name", ["q3", "q4"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_escaped_core_negative_runs_neither_sat_nor_cert2(
+        self, queries, no_sat, monkeypatch, name, seed
+    ):
+        query = queries[name]
+        db = escaped_core(query, (8, 4, 6), random.Random(seed))
+        engine = CertainEngine(query)
+        runs = self.count_cert2_runs(engine, monkeypatch)
+        witnessed = engine.explain(db, want_witness=True)
+        assert (witnessed.certain, witnessed.exact, witnessed.algorithm) == (
+            False, True, GREEDY_LABEL
+        )
+        assert_falsifying_repair(query, db, witnessed.witness)
+        # The witness lists one fact per block, in the database's block order.
+        blocks = [db.fact_blocks[db.id_of(fact)] for fact in witnessed.witness]
+        assert blocks == sorted(blocks)
+        plain = engine.explain(db)
+        assert (plain.certain, plain.exact, plain.algorithm, plain.witness) == (
+            False, True, GREEDY_LABEL, None
+        )
+        assert runs == []
+
+    @pytest.mark.parametrize("name", ["q3", "q4"])
+    def test_a_certain_component_is_left_to_cert2_and_then_read_off_its_memo(
+        self, queries, monkeypatch, name
+    ):
+        query = queries[name]
+        db = escaped_core(query, (8, 4, 6), random.Random(5))
+        gadget = {"q3": [(7, 8), (8, 9)], "q4": [(7, 7, 8, 9), (7, 10, 8, 7)]}[name]
+        db.add_all(f(query, *[2_000_000 + value for value in row]) for row in gadget)
+        engine = CertainEngine(query)
+        runs = self.count_cert2_runs(engine, monkeypatch)
+        assert (engine.explain(db).certain, engine.explain(db).algorithm) == (True, CERT2_LABEL)
+        certain = [c for c in block_partition(query, db).components if c.memo.get(2, (0,))[0]]
+        assert [component.choice for component in certain] == [()]
+        # A memoised certain fixpoint answers without any greedy attempt.
+        monkeypatch.setattr(
+            BlockComponent, "falsifying_choice", lambda *args: pytest.fail("the greedy ran")
+        )
+        assert engine.explain(db, want_witness=True).certain
+        assert len(runs) == 3
+
+    def test_without_a_greedy_repair_cert2_answers_and_sat_gives_the_witness(
+        self, queries, monkeypatch
+    ):
+        query = queries["q3"]
+        db = escaped_core(query, (8, 4, 6), random.Random(1))
+        monkeypatch.setattr(BlockComponent, "falsifying_choice", lambda *args: None)
+        engine = CertainEngine(query)
+        runs = self.count_cert2_runs(engine, monkeypatch)
+        report = engine.explain(db, want_witness=True)
+        assert (report.certain, report.exact, report.algorithm) == (False, True, CERT2_LABEL)
+        assert_falsifying_repair(query, db, report.witness)
+        assert runs == [db]
+
+    def test_the_empty_database_has_the_empty_repair(self, queries, no_sat):
+        report = CertainEngine(queries["q3"]).explain(Database(), want_witness=True)
+        assert (report.certain, report.algorithm, tuple(report.witness)) == (
+            False, GREEDY_LABEL, ()
+        )

@@ -28,7 +28,12 @@ from repro import (
 )
 from repro.core.branching import branching_triples, g_elements
 from repro.core.classification import Method
-from repro.core.solutions import SolutionGraph, block_partition, solution_graph_from_pairs
+from repro.core.solutions import (
+    SolutionGraph,
+    block_partition,
+    greedy_falsifying_choice,
+    solution_graph_from_pairs,
+)
 from repro.db.fact_store import is_repair_of
 from repro.db.repairs import iter_repairs
 from repro.graphs.components import UnionFind
@@ -73,10 +78,10 @@ q6_rows = st.lists(
 )
 
 
-#: Every query of the ``Cert_k ∨ ¬matching`` classes (Theorems 8.1 and 10.5)
-#: with arity 2 or 3 and variables from {x, y, z}, all key sizes tried.
-MATCHING_CLASS_QUERIES = [
-    query
+#: Every query with arity 2 or 3 and variables from {x, y, z}, all key sizes
+#: tried, with its classification method.
+SMALL_QUERIES = [
+    (query, classify(query).method)
     for arity in (2, 3)
     for key_size in range(arity + 1)
     for query in (
@@ -87,10 +92,19 @@ MATCHING_CLASS_QUERIES = [
         for first in itertools.product("xyz", repeat=arity)
         for second in itertools.product("xyz", repeat=arity)
     )
-    if classify(query).method in (Method.NO_TRIPATH, Method.TRIANGLE_ONLY)
+]
+#: The small queries of the ``Cert_k ∨ ¬matching`` classes (Theorems 8.1 and 10.5).
+MATCHING_CLASS_QUERIES = [
+    query for query, method in SMALL_QUERIES
+    if method in (Method.NO_TRIPATH, Method.TRIANGLE_ONLY)
+]
+#: The small queries of the Theorem 6.1 class.
+THEOREM_61_QUERIES = [
+    query for query, method in SMALL_QUERIES if method == Method.SYNTACTIC_EASY
 ]
 
 REPAIR_LABEL = "matching repair (Proposition 10.3)"
+GREEDY_LABEL = "greedy falsifying repair"
 
 
 @st.composite
@@ -389,6 +403,42 @@ class TestAlgorithmSoundness:
             check()
 
 
+    @settings(_SETTINGS, max_examples=300)
+    @given(
+        st.one_of(
+            paper_query_streams(("q3", "q4")),
+            solution_streams([paper_queries()["q3"], paper_queries()["q4"]]),
+            solution_streams(THEOREM_61_QUERIES),
+        )
+    )
+    def test_theorem_61_answers_are_exact_after_every_write(self, case):
+        # The greedy's memoised choices live on the maintained partition's
+        # records, so one engine and one database run across the stream.  A
+        # greedy negative's witness is checked on Facts, not on the graph the
+        # greedy read, and asking for it must not change the answer.
+        query, db, writes = case
+        engine = CertainEngine(query)
+
+        def check():
+            report = engine.explain(db, want_witness=True)
+            assert report.exact
+            assert report.certain == certain_bruteforce(query, db)
+            if report.algorithm == GREEDY_LABEL:
+                witness = list(report.witness)
+                assert is_repair_of(witness, db)
+                assert not query.satisfied_by(witness)
+            plain = engine.explain(db)
+            assert (plain.certain, plain.algorithm, plain.exact) == (
+                report.certain, report.algorithm, report.exact
+            )
+            assert plain.witness is None
+
+        check()
+        for write in writes:
+            apply_write(db, query.schema, write)
+            check()
+
+
 class TestCertKMatchesNaive:
     """The worklist ``Cert_k`` against the seed enumeration, on generated inputs."""
 
@@ -472,9 +522,9 @@ class PartitionUnderWrites(RuleBasedStateMachine):
 
     A burst of 2-5 writes reaches the cached structures as one batch on the
     next read, including a fact added and removed within it.  Every read
-    holds the maintained block partition to a from-scratch build, the memoised
-    ``CertK`` to ``NaiveCertK`` (verdict and antichain), and the engine to
-    brute force.
+    holds the maintained block partition to a from-scratch build, each live
+    record's memoised greedy choice to a fresh run, the memoised ``CertK`` to
+    ``NaiveCertK`` (verdict and antichain), and the engine to brute force.
     """
 
     LIMIT = 10  # facts; keeps NaiveCertK at k = 3 and brute force cheap
@@ -528,9 +578,16 @@ class PartitionUnderWrites(RuleBasedStateMachine):
             frozenset(table[key].block_id for key in c.blocks) for c in partition.components
         } == naive_partition(query, db)
         assert set(partition.component_of) == {block.index for block in db.blocks()}
+        graph = build_solution_graph(query, db)
         for component in partition.components:
             assert all(partition.component_of[key] is component for key in component.blocks)
             assert component.size == sum(len(table[key]) for key in component.blocks)
+            # A choice memoised before the last writes must still be the
+            # greedy's; a record without one gets one for the next read.
+            fresh = greedy_falsifying_choice(db, graph, component.blocks) or ()
+            if component.choice is not None:
+                assert component.choice == fresh
+            assert component.falsifying_choice(db, graph) == (fresh or None)
         for runner, oracle in self.runners:
             memoised, naive = runner.run(db), oracle.run(db)
             assert memoised.certain == naive.certain

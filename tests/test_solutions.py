@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro import Database, Fact, build_solution_graph, parse_query, q_connected_block_components
+from repro import (
+    Database,
+    Fact,
+    build_solution_graph,
+    certain_bruteforce,
+    parse_query,
+    q_connected_block_components,
+)
+from repro.core.solutions import block_partition, greedy_falsifying_choice
 from repro.db.generators import solution_triangle
 
 
@@ -134,3 +142,77 @@ class TestQConnectedComponents:
         db = Database([fact(schema, 1, 2), fact(schema, 7, 8)])
         components = q_connected_block_components(q3, db)
         assert len(components) == 2
+
+
+class TestGreedyFalsifyingChoice:
+    """The greedy of the Theorem 6.1 path, on hand-built one-component databases."""
+
+    @staticmethod
+    def component_and_choice(query, db):
+        [component] = block_partition(query, db).components
+        return component, component.falsifying_choice(db, build_solution_graph(query, db))
+
+    def test_fewest_options_first_with_forward_checking(self, q3):
+        schema = q3.schema
+        # R(1|2) and R(2|3) form a solution.  The key-2 block has one option,
+        # so it goes first and strikes R(1|2) from the key-1 block.
+        db = Database([fact(schema, 1, 2), fact(schema, 1, 9), fact(schema, 2, 3)])
+        _, choice = self.component_and_choice(q3, db)
+        chosen = [db.fact(fid) for fid in choice]
+        assert chosen == [fact(schema, 1, 9), fact(schema, 2, 3)]  # in the component's block order
+        assert not q3.satisfied_by(chosen)
+
+    def test_a_block_takes_its_option_with_the_fewest_solutions(self, q3):
+        schema = q3.schema
+        # Both blocks have two options.  R(1|2) forms a solution with both
+        # facts of the key-2 block, R(1|9) with none: taking R(1|2), the
+        # smaller id, would empty the key-2 block.  The tie between R(2|3)
+        # and R(2|8) (one solution each) goes to the smaller id.
+        db = Database(
+            [fact(schema, 1, 2), fact(schema, 1, 9), fact(schema, 2, 3), fact(schema, 2, 8)]
+        )
+        _, choice = self.component_and_choice(q3, db)
+        assert [db.fact(fid) for fid in choice] == [fact(schema, 1, 9), fact(schema, 2, 3)]
+
+    def test_forward_checking_that_empties_a_block_fails_the_attempt(self, q3):
+        schema = q3.schema
+        # R(1|2) and R(2|1) form a solution and each is alone in its block:
+        # the first choice strikes the other block's only option.
+        db = Database([fact(schema, 1, 2), fact(schema, 2, 1)])
+        component, choice = self.component_and_choice(q3, db)
+        assert choice is None and component.choice == ()
+        assert certain_bruteforce(q3, db)
+
+    def test_self_loops_are_no_options(self, q3):
+        schema = q3.schema
+        component, choice = self.component_and_choice(q3, Database([fact(schema, 1, 1)]))
+        assert choice is None
+        db = Database([fact(schema, 1, 1), fact(schema, 1, 2)])
+        _, choice = self.component_and_choice(q3, db)
+        assert [db.fact(fid) for fid in choice] == [fact(schema, 1, 2)]
+
+    def test_no_choice_does_not_mean_no_falsifying_repair(self):
+        # Nothing backtracks, so the greedy can miss a falsifying repair
+        # (here on q5, outside the Theorem 6.1 class); the engine then asks
+        # Cert_2, which the theorem makes complete on that class.
+        q5 = parse_query("R(x|y,x) R(y|x,u)")
+        rows = [(2, 0, 2), (2, 0, 1), (2, 2, 1), (0, 1, 0), (0, 2, 0), (1, 0, 0), (1, 0, 2)]
+        db = Database(fact(q5.schema, *row) for row in rows)
+        _, choice = self.component_and_choice(q5, db)
+        assert choice is None
+        assert not certain_bruteforce(q5, db)
+
+    def test_the_outcome_is_memoised_until_a_write_retires_the_record(self, q3):
+        schema = q3.schema
+        db = Database([fact(schema, 1, 2), fact(schema, 1, 9), fact(schema, 2, 3)])
+        component, choice = self.component_and_choice(q3, db)
+        assert component.choice == choice
+        graph = build_solution_graph(q3, db)
+        assert greedy_falsifying_choice(db, graph, component.blocks) == choice
+        db.add(fact(schema, 9, 1))  # joins the key-9 block to the component
+        assert component not in block_partition(q3, db).components
+        fresh, _ = self.component_and_choice(q3, db)
+        assert fresh is not component
+        db.add(fact(schema, 5, 6))  # a component of its own: the record stays
+        assert fresh in block_partition(q3, db).components
+        assert fresh.choice is not None
