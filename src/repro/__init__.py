@@ -143,11 +143,6 @@ from .db.generators import (
     scaled_workload,
 )
 from .db.repairs import count_repairs, iter_repairs, sample_repair, sample_repairs
-from .db.sqlite_backend import (
-    SqliteFactStore,
-    certain_answer_via_sqlite,
-    certain_answers_via_sqlite,
-)
 from .logic.cnf import CnfFormula, Clause, Literal, random_restricted_three_sat
 from .logic.dpll import DpllSolver, is_satisfiable
 from .logic.encode import FalsifyingRepairEncoding, certain_via_sat
@@ -187,10 +182,14 @@ _SERVER_EXPORTS = frozenset(
     }
 )
 
-#: Catalog and workload symbols, also lazy: sqlite3 connections and trace
-#: synthesis are opt-in subsystems, not part of the core import cost.
+#: Catalog, SQLite-store and workload symbols, also lazy: sqlite3
+#: connections and trace synthesis are opt-in subsystems, not part of the
+#: core import cost (an in-process server loads neither).
 _CATALOG_EXPORTS = frozenset(
     {"CatalogError", "CatalogService", "CatalogStore"}
+)
+_SQLITE_EXPORTS = frozenset(
+    {"SqliteFactStore", "certain_answer_via_sqlite", "certain_answers_via_sqlite"}
 )
 _WORKLOAD_EXPORTS = frozenset(
     {"ReplayReport", "TraceSpec", "generate_trace", "read_trace", "replay",
@@ -207,6 +206,10 @@ def __getattr__(name):
         from . import catalog
 
         return getattr(catalog, name)
+    if name in _SQLITE_EXPORTS:
+        from .db import sqlite_backend
+
+        return getattr(sqlite_backend, name)
     if name in _WORKLOAD_EXPORTS:
         from . import workload
 
@@ -222,7 +225,7 @@ __all__ = [
     "Database", "Block", "Repair",
     "iter_repairs", "count_repairs", "sample_repair", "sample_repairs",
     "random_solution_database", "random_block_database", "scaled_workload",
-    "SqliteFactStore", "certain_answer_via_sqlite", "certain_answers_via_sqlite",
+    "SqliteFactStore", "certain_answer_via_sqlite", "certain_answers_via_sqlite",  # noqa: F822
     # relational backend layer (DB-API pushdown)
     "Backend", "BackendCapabilities", "BackendSpec", "DbApiBackend",
     "DatasetUnavailable", "is_backend_spec", "parse_backend_spec",

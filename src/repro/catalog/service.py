@@ -41,11 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hashing import blake2b
 from ..service.datasets import DatasetRef
-from ..service.envelope import Answer
+from ..service.envelope import CATALOG_OP, Answer
 from .store import CatalogError, CatalogStore, Head, row_key
-
-#: The wire operation name (parallel to the server's ``stats``).
-CATALOG_OP = "catalog"
 
 #: The ``action`` values :meth:`CatalogService.handle_payload` understands.
 CATALOG_ACTIONS = ("create", "ls", "ingest", "history", "delta", "delete")

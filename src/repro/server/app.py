@@ -39,10 +39,9 @@ from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..backends.base import backend_totals
-from ..catalog.service import CATALOG_OP, CatalogError
 from ..db.fact_store import derived_cache_totals
 from ..service.datasets import DatasetRef
-from ..service.envelope import Answer, Request, request_from_json_dict
+from ..service.envelope import CATALOG_OP, Answer, Request, request_from_json_dict
 from ..service.planner import ANSWER_CACHE
 from ..service.runner import error_answer, normalize_workload_line
 from ..service.session import Session
@@ -513,6 +512,8 @@ class CQAServer:
                     request,
                 )
             ]
+        from ..catalog import CatalogError  # loaded with the configured catalog
+
         try:
             ref = self.catalog.dataset_ref(spec)
         except CatalogError as error:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import os
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..backends.base import (
     BackendSpec,
@@ -58,8 +58,10 @@ from ..core.query import TwoAtomQuery
 from ..core.terms import RelationSchema
 from ..db.csvio import csv_row_count, load_csv_text
 from ..db.fact_store import Database
-from ..db.sqlite_backend import SqliteFactStore
 from ..hashing import blake2b
+
+if TYPE_CHECKING:  # the SQLite stack loads on first use, not with the service layer
+    from ..db.sqlite_backend import SqliteFactStore
 
 PathLike = Union[str, Path]
 
@@ -190,6 +192,8 @@ class DatasetRef:
         cls, store_or_path: Union[SqliteFactStore, PathLike]
     ) -> "DatasetRef":
         """A SQLite fact store (opened lazily when given a path)."""
+        from ..db.sqlite_backend import SqliteFactStore
+
         if isinstance(store_or_path, SqliteFactStore):
             return cls(cls.SQLITE, store=store_or_path, path=store_or_path.path)
         return cls(cls.SQLITE, path=store_or_path)
@@ -638,6 +642,8 @@ class DatasetRef:
                 raise DatasetUnavailable(
                     f"SQLite dataset does not exist: {self.path!r}"
                 )
+            from ..db.sqlite_backend import SqliteFactStore
+
             self._store = SqliteFactStore(schema, self.path)
             self._owns_store = True
         return self._store

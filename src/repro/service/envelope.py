@@ -24,6 +24,10 @@ from .datasets import DatasetRef, dataset_refs_from_json
 #: The operations a session understands.
 OPERATIONS = ("certain", "explain", "witness", "support", "classify", "reduce")
 
+#: The catalog dialect's wire operation, answered by :mod:`repro.catalog`
+#: (named here so the server can route it without loading the catalog).
+CATALOG_OP = "catalog"
+
 #: Version tag stamped into every JSON answer envelope.
 ENVELOPE_SCHEMA_VERSION = 1
 

@@ -1,8 +1,11 @@
-"""``repro.server`` and ``repro.workload`` load exports on first use.
+"""``repro``, ``repro.server`` and ``repro.workload`` load exports on first use.
 
 An in-process server needs none of the transports, the client or the fleet,
 so ``from repro import CQAServer`` must not import them, nor asyncio,
-``http.server``, ``ssl`` and ``urllib.request`` behind them.  Likewise a
+``http.server``, ``ssl`` and ``urllib.request`` behind them.  Nor does it
+need the SQLite stack: ``sqlite3``, the SQLite fact store and the catalog
+load only when a SQLite dataset, a persistent cache or a catalog is used,
+and ``from repro import *`` still resolves every exported name.  Likewise a
 catalog-backed server fed from a generated trace needs neither the replay
 module nor ``multiprocessing``, ``concurrent.futures``, ``logging``,
 ``importlib.metadata`` or ``hashlib`` (whose OpenSSL bindings blake2b never
@@ -23,9 +26,14 @@ from repro import CQAServer
 CQAServer()
 heavy = ("asyncio", "http.server", "ssl", "urllib.request") + tuple(
     "repro.server." + name for name in ("http_transport", "jsonl", "client", "fleet")
-)
+) + ("sqlite3", "repro.db.sqlite_backend", "repro.catalog")
 loaded = [name for name in heavy if name in sys.modules]
 assert not loaded, loaded
+import repro
+from repro import *
+missing = [name for name in repro.__all__ if name not in globals()]
+assert not missing, missing
+assert "repro.db.sqlite_backend" in sys.modules and "repro.catalog" in sys.modules
 import repro.server
 from repro.server import *
 missing = [name for name in repro.server.__all__ if name not in globals()]
