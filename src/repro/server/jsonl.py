@@ -121,12 +121,19 @@ class _JsonlConnectionHandler(socketserver.StreamRequestHandler):
             self.wfile.flush()
 
 
+#: How often the accept loop looks for a ``shutdown()`` request, in seconds.
+#: socketserver's default of 0.5 s made every shutdown wait up to that long.
+POLL_INTERVAL_S = 0.05
+
+
 class AppServer:
     """What both socket servers share, mixed into a ``socketserver`` class.
 
     One daemon thread per connection, all answering through ``app``; the
-    listen backlog of 100 (see the module docs); and no traceback for a
-    client that disconnected or timed out, which is its doing, not a fault.
+    listen backlog of 100 (see the module docs); an accept loop that
+    notices ``shutdown()`` within :data:`POLL_INTERVAL_S`; and no traceback
+    for a client that disconnected or timed out, which is its doing, not a
+    fault.
     """
 
     allow_reuse_address = True
@@ -138,6 +145,9 @@ class AppServer:
     def __init__(self, app: CQAServer, address: Tuple[str, int] = ("127.0.0.1", 0)) -> None:
         self.app = app
         super().__init__(address, self.handler_class)
+
+    def serve_forever(self, poll_interval: float = POLL_INTERVAL_S) -> None:
+        super().serve_forever(poll_interval)
 
     def handle_error(self, request, client_address) -> None:
         if isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
