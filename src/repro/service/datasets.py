@@ -684,10 +684,12 @@ def dataset_refs_from_json(
     them).  A relative path is tried as given first, then against
     ``base_dir`` (the directory of the workload file), so workloads stay
     runnable from anywhere.  ``has_header`` applies to every CSV of the
-    request.
+    request.  Mistyped fields raise ``ValueError`` naming the field: every
+    ``rows`` entry must be an array (a string row would otherwise split into
+    its characters), and ``has_header`` a boolean.
     """
     refs: List[DatasetRef] = []
-    has_header = bool(payload.get("has_header", True))
+    has_header = json_flag(payload, "has_header", True)
     for path in _as_paths(payload.get("csv")):
         refs.append(DatasetRef.csv(_locate(path, base_dir), has_header=has_header))
     for path in _as_paths(payload.get("sqlite")):
@@ -696,8 +698,29 @@ def dataset_refs_from_json(
         refs.append(DatasetRef.backend(spec, has_header=has_header))
     rows = payload.get("rows")
     if rows is not None:
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"'rows' must be an array of rows, got {type(rows).__name__}")
+        for index, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(
+                    f"'rows'[{index}] must be an array of values, got {type(row).__name__}"
+                )
         refs.append(DatasetRef.inline_rows(rows))
     return refs
+
+
+def json_flag(payload: Dict[str, object], field: str, default: bool) -> bool:
+    """The boolean ``payload[field]``, ``default`` when absent or null.
+
+    Raises ``ValueError`` naming the field for any other value: ``"no"`` or
+    ``1`` must not count as true.
+    """
+    value = payload.get(field)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise ValueError(f"'{field}' must be true or false, got {type(value).__name__}")
+    return value
 
 
 def _as_paths(value: object) -> List[str]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Optional, Tuple
 
-from .datasets import DatasetRef, dataset_refs_from_json
+from .datasets import DatasetRef, dataset_refs_from_json, json_flag
 
 #: The operations a session understands.
 OPERATIONS = ("certain", "explain", "witness", "support", "classify", "reduce")
@@ -140,6 +140,7 @@ def request_from_json_dict(
     :func:`~repro.service.datasets.dataset_refs_from_json`, and the option
     keys ``workers``, ``witness``, ``samples``, ``confidence``, ``seed``,
     ``clauses``, ``depth``, ``backend``, ``id``, ``explain_plan``.
+    ``witness`` and ``explain_plan`` must be booleans when given.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"request must be a JSON object, got {type(payload).__name__}")
@@ -158,7 +159,7 @@ def request_from_json_dict(
         query=query,
         datasets=tuple(dataset_refs_from_json(payload, base_dir=base_dir)),
         workers=int(workers) if workers is not None else None,
-        witness=bool(payload.get("witness", False)),
+        witness=json_flag(payload, "witness", False),
         samples=int(payload.get("samples", 500)),
         confidence=float(payload.get("confidence", 0.95)),
         seed=int(seed) if seed is not None else None,
@@ -166,5 +167,5 @@ def request_from_json_dict(
         depth=int(payload.get("depth", 4)),
         backend=payload.get("backend"),
         request_id=str(request_id) if request_id is not None else None,
-        explain_plan=bool(payload.get("explain_plan", False)),
+        explain_plan=json_flag(payload, "explain_plan", False),
     )

@@ -107,6 +107,27 @@ class TestInProcessServer:
         [answer] = server.handle_line('{"op": "certain"}')
         assert not answer.ok and "query" in answer.error
 
+    def test_mistyped_fields_are_rejected_at_the_json_boundary(self):
+        # A string row used to split into its characters: ["ab", "bc"]
+        # answered exactly as [["a", "b"], ["b", "c"]] does.
+        server = CQAServer()
+        [answer] = server.handle_line(
+            json.dumps({"op": "certain", "query": "q3", "rows": [["a", "b"], "bc"]}), 3
+        )
+        assert not answer.ok and "line 3: 'rows'[1] must be an array" in answer.error
+        [answer] = server.handle_payload({"op": "certain", "query": "q3", "rows": "ab"})
+        assert not answer.ok and "'rows' must be an array" in answer.error
+        rows = [["a", "b"], ["b", "c"]]
+        for field, value in (("witness", "no"), ("explain_plan", 1), ("has_header", "yes")):
+            [answer] = server.handle_payload(
+                {"op": "certain", "query": "q3", "rows": rows, field: value}
+            )
+            assert not answer.ok and f"'{field}' must be true or false" in answer.error
+        [answer] = server.handle_payload(
+            {"op": "certain", "query": "q3", "rows": rows, "witness": False, "has_header": None}
+        )
+        assert answer.ok and answer.verdict is True
+
     def test_request_fault_is_isolated(self):
         server = CQAServer()
         [answer] = server.handle_line(

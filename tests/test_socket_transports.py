@@ -350,7 +350,9 @@ def _with(field, values):
 _wrong_typed = st.one_of(
     _with("query", st.one_of(st.none(), st.booleans(), st.integers(), st.just(""),
                              st.lists(st.integers(), max_size=3))),
-    _with("rows", st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))),
+    _with("rows", st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                            st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3))),
+    _with("witness", st.one_of(st.integers(), _letters)),
     _with("samples", st.one_of(_letters, st.lists(st.integers(), max_size=2))),
     _with("workers", st.one_of(_letters, st.dictionaries(_letters, st.integers(), max_size=2))),
     _with("seed", st.lists(st.integers(), max_size=2)),
