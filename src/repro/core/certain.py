@@ -8,12 +8,18 @@ Three exact ways of deciding ``certain(q)`` are provided:
   encoding of :mod:`repro.logic.encode` (exact, scales much further);
 * :class:`CertainEngine` — the production entry point: it classifies the
   query once (Sections 3–10) and then dispatches every database to the
-  cheapest *sound and complete* procedure for that class.  On the
-  ``Cert_k ∨ ¬matching`` classes it runs ``Cert_k``, then ``¬matching``,
-  then Proposition 10.3's repair read off the matching, and falls back to
-  the SAT oracle only when none of them settles the answer: the paper's
-  polynomial algorithms need the impractically large theoretical constant
-  ``k`` to be complete (see DESIGN.md §5).
+  cheapest *sound and complete* procedure for that class:
+
+  - trivial queries: the one-atom check of Section 2;
+  - the Theorem 6.1 class: a greedy falsifying repair per block component
+    (a repair falsifying ``q`` proves non-certainty, Section 2), and
+    ``Cert_2``, complete there, only when some component has none;
+  - the coNP-complete classes: the SAT oracle;
+  - the ``Cert_k ∨ ¬matching`` classes: ``Cert_k``, then ``¬matching``,
+    then Proposition 10.3's repair read off the matching, and the SAT
+    oracle only when none of them settles the answer: the paper's
+    polynomial algorithms need the impractically large theoretical
+    constant ``k`` to be complete (see DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -104,8 +110,8 @@ class EngineReport:
     ``witness`` is populated only when the caller asked for one (see
     :meth:`CertainEngine.explain` with ``want_witness=True``) and the answer
     is negative: it is a falsifying repair of the database, produced inline
-    by whatever decided the answer — the matching's repair or the deciding
-    SAT solve — not recomputed out-of-band.
+    by whatever decided the answer — the greedy's repair, the matching's
+    repair or the deciding SAT solve — not recomputed out-of-band.
     """
 
     certain: bool
@@ -120,7 +126,8 @@ class CertainEngine:
     The engine mirrors the decision structure of the paper:
 
     * trivial queries       → the one-atom check of Section 2;
-    * Theorem 6.1 queries   → ``Cert_2(q)`` (complete by the theorem);
+    * Theorem 6.1 queries   → a greedy falsifying repair per block
+      component, else ``Cert_2(q)`` (complete by the theorem);
     * coNP-complete queries → the exact SAT oracle;
     * remaining PTime cases → ``Cert_k(q) ∨ ¬matching(q)`` (Theorems 8.1 and
       10.5) with a practical ``k``.  Because the theoretical ``k`` of
@@ -167,8 +174,10 @@ class CertainEngine:
 
         With ``want_witness`` a negative answer also carries a falsifying
         repair in :attr:`EngineReport.witness`.  A negative decided by the
-        matching's repair carries that repair; on the SAT-oracle paths the
-        witness is extracted from the same solve that decided the answer.
+        greedy's or the matching's repair carries that repair; on the
+        SAT-oracle paths, and for a ``Cert_2`` negative, the witness comes
+        from a SAT solve (on the oracle paths, the one that decided the
+        answer).
         Only a ``strict_polynomial`` negative the repair does not certify
         pays one extra SAT solve, which settles it either way: a witness
         found upgrades the report to an exact ``False`` (the repair is a
@@ -229,12 +238,9 @@ class CertainEngine:
             else:
                 witness = None
                 if want_witness:
-                    block_of = database.fact_blocks
-                    fact = database.fact
-                    witness = Repair(tuple(
-                        fact(fid) for fid in sorted(chain.from_iterable(choices),
-                                                    key=block_of.__getitem__)
-                    ))
+                    chosen = chain.from_iterable(choices)
+                    in_block_order = sorted(chosen, key=database.fact_blocks.__getitem__)
+                    witness = Repair(tuple(map(database.fact, in_block_order)))
                 return EngineReport(False, "greedy falsifying repair", True, witness)
         return EngineReport(self._cert2.run(database).certain, "Cert_2 (Theorem 6.1)", True)
 

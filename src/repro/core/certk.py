@@ -43,7 +43,8 @@ Two implementations are provided:
   a write retires only when it touches the component: a read after a
   one-fact write reruns only the components the write touched.  A memoised
   certain component decides a run at once; otherwise the components not yet
-  memoised run smallest first (by fact count) and the run stops at the
+  memoised run smallest first (by fact count; those with a memoised greedy
+  falsifying choice, which cannot be certain, last) and the run stops at the
   first one that derives the empty set, so a certain database with a small
   certain component is decided after a handful of insertions, whatever the
   size of the rest.  The result's ``delta`` is converted to ``Fact``

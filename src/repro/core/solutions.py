@@ -12,6 +12,12 @@ fact ids and block indices (see :class:`~repro.db.fact_store.Database`):
 no ``Fact`` is built, hashed or compared on their paths.  ``Fact`` vertices
 appear only in :class:`FactGraph`, the graph's view for tests and cold
 consumers and the result of the naive oracle.
+
+Each :class:`BlockComponent` record of the partition memoises two outcomes
+for as long as no write touches the component: its ``Cert_k`` fixpoints
+(:class:`~repro.core.certk.CertK`) and the choice of
+:func:`greedy_falsifying_choice`, one fact per block with no solution among
+them, which the engine reads as a falsifying repair of the component.
 """
 
 from __future__ import annotations
@@ -354,8 +360,7 @@ def greedy_falsifying_choice(
     heap: List[Tuple[int, int]] = []
     for number in blocks:
         live = set(table[number].ids)
-        if loops:
-            live.difference_update(loops)
+        live -= loops
         if not live:
             return None
         options[number] = live
