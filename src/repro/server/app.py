@@ -331,9 +331,12 @@ class CQAServer:
         self.base_dir = base_dir or os.getcwd()
         self.catalog = None
         if catalog_path is not None:
-            from ..catalog import CatalogService
+            from ..catalog import CatalogError, CatalogService
 
             self.catalog = CatalogService(catalog_path)
+            # Caught on every catalog-addressed read: bound once, here, so
+            # the server imports the catalog only when one is configured.
+            self._catalog_error = CatalogError
         # Counters get their own lock: bumping them (and serving the stats
         # op) must never stall behind a long-running computation holding the
         # pool — monitoring has to stay responsive.
@@ -512,11 +515,9 @@ class CQAServer:
                     request,
                 )
             ]
-        from ..catalog import CatalogError  # loaded with the configured catalog
-
         try:
             ref = self.catalog.dataset_ref(spec)
-        except CatalogError as error:
+        except self._catalog_error as error:
             self._bump("requests")
             self._bump("answers")
             self._bump("errors")
@@ -534,7 +535,7 @@ class CQAServer:
                 schema = None
             try:
                 self.catalog.annotate(answers[0], ref, schema)
-            except CatalogError:
+            except self._catalog_error:
                 pass
         return answers
 
