@@ -122,7 +122,7 @@ class _JsonlConnectionHandler(socketserver.StreamRequestHandler):
 
 
 #: How often the accept loop looks for a ``shutdown()`` request, in seconds.
-#: socketserver's default of 0.5 s made every shutdown wait up to that long.
+#: socketserver's default of 0.5 s would make every shutdown wait up to that long.
 POLL_INTERVAL_S = 0.05
 
 
