@@ -344,7 +344,7 @@ def greedy_falsifying_choice(
     A repair falsifies ``q`` exactly when it holds no self-loop and no two
     facts joined by an edge of ``G(D, q)`` (Section 2).  The search is
     greedy and never backtracks: a block's options are its facts that are
-    no self-loops; blocks are taken fewest live options first (a heap); a
+    not self-loops; blocks are taken fewest live options first (a heap); a
     block takes its option with the fewest solutions (ties by id), and the
     choice strikes its neighbours from the other blocks' options (forward
     checking).  A block with no option left ends the attempt, so ``None``
